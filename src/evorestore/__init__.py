@@ -15,10 +15,8 @@ from .degrade import (
     SplitConfig,
     apply_degradation,
     build_dataset,
-    capped_psnr,
     load_dataset,
     psnr,
-    ssim,
     synthetic_clean_images,
     write_dataset,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "WeightPair",
     "apply_degradation",
     "build_dataset",
-    "capped_psnr",
     "charbonnier",
     "combined_loss",
     "conv2_periodic",
@@ -86,7 +83,6 @@ __all__ = [
     "read_fgrid",
     "run_eos",
     "save_params",
-    "ssim",
     "synthetic_clean_images",
     "train",
     "transfer",

@@ -8,8 +8,10 @@ divergence, 4 oracle check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 from . import __version__
@@ -63,12 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out",
             default=os.environ.get(OUT_ENV, "."),
             help=f"output directory (default: ${OUT_ENV} or cwd)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="evaluation parallelism bound; never changes outputs",
         )
 
     p = sub.add_parser("degrade", help="build a paired degradation dataset")
@@ -154,7 +150,7 @@ def _cmd_train(args) -> int:
     app = load_config(args.config, args.overrides)
     dataset = _load_manifest_dataset(app, args.manifest)
     os.makedirs(args.out, exist_ok=True)
-    params, trace = train(dataset, app.trainer, workers=args.workers)
+    params, trace = train(dataset, app.trainer)
 
     save_params(os.path.join(args.out, "final.fmmp"), params)
     write_train_trace_csv(os.path.join(args.out, "trace.csv"), trace)
@@ -181,9 +177,7 @@ def _cmd_eval(args) -> int:
     app = load_config(args.config, args.overrides)
     dataset = _load_manifest_dataset(app, args.manifest)
     params = load_params(args.checkpoint)
-    table = evaluate(
-        params, dataset, args.split, app.trainer.charbonnier_eps, workers=args.workers
-    )
+    table = evaluate(params, dataset, args.split, app.trainer.charbonnier_eps)
     os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
     print(f"{'kind':<10} {'count':>5} {'psnr':>8} {'ssim':>7} {'fid':>9} {'perc':>9}")
@@ -212,7 +206,6 @@ def _cmd_eos_trace(args) -> int:
         trigger_index=1,
         eps=app.trainer.charbonnier_eps,
         ms_cfg=ms_cfg,
-        workers=args.workers,
     )
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(os.path.join(args.out, "eos_trace.csv"), [trace])
@@ -260,20 +253,50 @@ def _read_csv(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+def _number(text, parse, where) -> float:
+    """Parse one finite number from a run file, or raise ConfigError naming `where`."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
+
+
+# eos_summary.csv column -> (EosTrace attribute read by eos_overhead_report, parser)
+_SUMMARY_COLUMNS = {
+    "eval_ms": ("eval_wall_ms", float),
+    "total_ms": ("total_wall_ms", float),
+    "evaluations": ("evaluations", int),
+}
+
+
+def _read_eos_summary(path) -> list:
+    """Rows of eos_summary.csv as the timing records eos_overhead_report sums."""
+    header, rows = _read_csv(path)
+    for name in _SUMMARY_COLUMNS:
+        if name not in header:
+            raise ConfigError(f"{path}: missing column {name!r}")
+    records = []
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}:{lineno}: {len(row)} fields, header has {len(header)}")
+        fields = {
+            attr: _number(row[header.index(name)], parse, f"{path}:{lineno}: column {name!r}")
+            for name, (attr, parse) in _SUMMARY_COLUMNS.items()
+        }
+        records.append(SimpleNamespace(**fields))
+    return records
+
+
 def _cmd_report(args) -> int:
     run_dir = args.run
-    summary = _read_kv(os.path.join(run_dir, "run_summary.txt"))
-    train_wall_ms = float(summary.get("wall_ms", "0"))
-    header, rows = _read_csv(os.path.join(run_dir, "eos_summary.csv"))
-
-    class _T:  # minimal stand-in so eos_overhead_report can aggregate CSVs
-        def __init__(self, row):
-            d = dict(zip(header, row))
-            self.eval_wall_ms = float(d["eval_ms"])
-            self.total_wall_ms = float(d["total_ms"])
-            self.evaluations = int(d["evaluations"])
-
-    report = eos_overhead_report([_T(r) for r in rows], train_wall_ms)
+    summary_path = os.path.join(run_dir, "run_summary.txt")
+    wall_text = _read_kv(summary_path).get("wall_ms", "0")
+    train_wall_ms = _number(wall_text, float, f"{summary_path}: wall_ms")
+    records = _read_eos_summary(os.path.join(run_dir, "eos_summary.csv"))
+    report = eos_overhead_report(records, train_wall_ms)
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "overhead.csv"),

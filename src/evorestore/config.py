@@ -34,15 +34,6 @@ class AppConfig:
     degradations: tuple = ()
 
 
-def _parse_bool(v: str) -> bool:
-    low = v.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
 def _parse_optional_int(v: str):
     if v.strip().lower() in ("", "none"):
         return None
@@ -194,7 +185,6 @@ def load_config(path: str | None, overrides=()) -> AppConfig:
 
 
 _HINTS = {
-    _parse_bool: "bool",
     _parse_optional_int: "int or 'none'",
     _parse_freeze: "comma list of lowpass/spectral/spatial",
     parse_degradation_specs: "kind(name=value,...);...",

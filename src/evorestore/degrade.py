@@ -22,8 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
-from .grids import as_grid, conv2_periodic, gaussian_kernel, read_fgrid, write_fgrid
-from .losses import ssim_index
+from .grids import (
+    as_grid,
+    as_grids,
+    conv2_periodic,
+    gaussian_kernel,
+    read_fgrid,
+    write_fgrid,
+)
 
 KINDS = ("noise", "blur", "haze", "lowlight", "rain")
 
@@ -141,26 +147,19 @@ def apply_degradation(clean, spec: DegradationSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def psnr(pred, target) -> float:
-    """PSNR in dB for unit dynamic range; +inf sentinel for identical inputs."""
-    pred = as_grid(pred)
-    target = as_grid(target)
+def psnr(pred, target):
+    """PSNR in dB for unit dynamic range; +inf sentinel for identical inputs.
+
+    A grid gives a float; a stack of grids (N, H, W) gives one value per grid.
+    """
+    pred = as_grids(pred)
+    target = as_grids(target)
     if pred.shape != target.shape:
         raise DimensionError(f"shape mismatch {pred.shape} vs {target.shape}")
-    mse = float(np.mean((pred - target) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(1.0 / mse)
-
-
-def capped_psnr(pred, target) -> float:
-    """PSNR with the +inf sentinel capped at 99 dB (CSV-friendly)."""
-    return min(psnr(pred, target), PSNR_CAP_DB)
-
-
-def ssim(pred, target) -> float:
-    """Single-scale SSIM with the loss module's window and constants."""
-    return ssim_index(pred, target)
+    mse = np.mean((pred - target) ** 2, axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(1.0 / mse)
+    return float(db) if pred.ndim == 2 else db
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +311,8 @@ class PairedDataset:
         if tr | va | te != set(range(len(self.pairs))):
             raise ConfigError("splits do not cover the dataset exactly")
 
-    def _pairs_for(self, idx):
-        return [self.pairs[i] for i in idx]
-
     def train_pairs(self):
-        return self._pairs_for(self.train_idx)
-
-    def val_pairs(self):
-        return self._pairs_for(self.val_idx)
-
-    def test_pairs(self):
-        return self._pairs_for(self.test_idx)
+        return [self.pairs[i] for i in self.train_idx]
 
     def restoration_pairs(self, split: str = "val"):
         """(degraded, clean) tuples for the given split, in index order."""

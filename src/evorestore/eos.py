@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degrade import psnr
 from .errors import ConfigError, NumericIntegrityError
 from .fmm import FmmParams, fmm_forward
 from .losses import (
@@ -28,9 +29,9 @@ from .losses import (
     MsSsimConfig,
     WeightPair,
     charbonnier,
-    ms_ssim_value,
+    ssim_and_ms_ssim,
 )
-from .util import parallel_map
+from .util import stacks, write_csv
 
 __all__ = [
     "WeightPair",
@@ -40,6 +41,8 @@ __all__ = [
     "OverheadReport",
     "project_simplex",
     "sample_simplex",
+    "ValidationTable",
+    "validate",
     "val_losses",
     "evaluate_fitness",
     "run_eos",
@@ -124,8 +127,45 @@ class EosTrace:
 
 
 # ---------------------------------------------------------------------------
-# Fitness
+# Validation pass and fitness
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class ValidationTable:
+    """Per-pair metrics of a frozen model, one (N,) array per column, in pair order."""
+
+    psnr: np.ndarray  # dB for a unit dynamic range; +inf for an exact restoration
+    ssim: np.ndarray  # single-scale SSIM
+    fid: np.ndarray  # Charbonnier
+    perc: np.ndarray  # 1 - MS-SSIM
+
+
+def validate(
+    params: FmmParams,
+    pairs,
+    eps: float = DEFAULT_CHARBONNIER_EPS,
+    ms_cfg: MsSsimConfig | None = None,
+) -> ValidationTable:
+    """Restore (degraded, clean) pairs with a frozen model and score each restoration.
+
+    Pairs run through the operator and the losses as stacks (see
+    util.stacks). `ms_cfg` defaults to the MS-SSIM config for each stack's
+    grid shape.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ConfigError("validation set is empty")
+    cols = ([], [], [], [])
+    for x, target in stacks([p[0] for p in pairs], [p[1] for p in pairs]):
+        y = fmm_forward(x, params).y_hat
+        cols[0].append(psnr(y, target))
+        cfg = ms_cfg if ms_cfg is not None else MsSsimConfig.for_shape(*x.shape[-2:])
+        ssim, ms = ssim_and_ms_ssim(y, target, cfg)
+        cols[1].append(ssim)
+        cols[2].append(charbonnier(y, target, eps)[0])
+        cols[3].append(1.0 - ms)
+    return ValidationTable(*(np.concatenate(c) for c in cols))
 
 
 def val_losses(
@@ -133,28 +173,14 @@ def val_losses(
     val_set,
     eps: float = DEFAULT_CHARBONNIER_EPS,
     ms_cfg: MsSsimConfig | None = None,
-    workers: int = 1,
 ):
     """Mean (fidelity, perceptual) over (degraded, clean) validation pairs.
 
     The restorations depend only on the frozen model, never on the candidate
     weights, so one pass suffices for a whole search trigger.
     """
-    val_set = list(val_set)
-    if not val_set:
-        raise ConfigError("validation set is empty")
-
-    def one(pair):
-        degraded, clean = pair
-        y = fmm_forward(degraded, params).y_hat
-        cfg = ms_cfg if ms_cfg is not None else MsSsimConfig.for_shape(*clean.shape)
-        fid, _ = charbonnier(y, clean, eps)
-        return fid, 1.0 - ms_ssim_value(y, clean, cfg)
-
-    results = parallel_map(one, val_set, workers)
-    mean_fid = sum(r[0] for r in results) / len(results)
-    mean_perc = sum(r[1] for r in results) / len(results)
-    return mean_fid, mean_perc
+    table = validate(params, val_set, eps, ms_cfg)
+    return float(np.mean(table.fid)), float(np.mean(table.perc))
 
 
 def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
@@ -167,14 +193,13 @@ def evaluate_fitness(
     val_set,
     eps: float = DEFAULT_CHARBONNIER_EPS,
     ms_cfg: MsSsimConfig | None = None,
-    workers: int = 1,
 ) -> float:
     """Negated mean weighted validation loss of `candidate` under a frozen model.
 
     Affine in (alpha, beta); deterministic and bit-identical for identical
     inputs (no randomness anywhere in the evaluation path).
     """
-    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg, workers)
+    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg)
     return _fitness(candidate, mean_fid, mean_perc)
 
 
@@ -192,7 +217,6 @@ def run_eos(
     trigger_index: int = 0,
     eps: float = DEFAULT_CHARBONNIER_EPS,
     ms_cfg: MsSsimConfig | None = None,
-    workers: int = 1,
 ):
     """One full search trigger; returns (winner, EosTrace).
 
@@ -218,7 +242,7 @@ def run_eos(
 
     eval_ms = 0.0
     t0 = time.perf_counter()
-    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg, workers)
+    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg)
     eval_ms += (time.perf_counter() - t0) * 1e3
 
     records: list[CandidateRecord] = []
@@ -331,8 +355,6 @@ SUMMARY_HEADER = (
 
 
 def write_trace_csv(path, traces) -> None:
-    from .util import write_csv
-
     rows = []
     for t in traces:
         for r in t.records:
@@ -352,8 +374,6 @@ def write_trace_csv(path, traces) -> None:
 
 
 def write_summary_csv(path, traces) -> None:
-    from .util import write_csv
-
     rows = [
         (
             t.trigger_index,

@@ -11,6 +11,10 @@ applied in the spatial domain, and sums the two refined branches:
     x_h' = M_spat * x_h                   # spatial gate, M_spat in (0,1)
     y    = x_l' + x_h'
 
+The operator runs on one grid (H, W) or on a stack of grids (N, H, W); the
+parameters are shared across the stack, and the backward pass sums the
+per-grid gradients over it.
+
 Every gradient is derived by hand from the adjoint of each stage; there is no
 autodiff anywhere. The kernel gradient couples through BOTH branches because
 x_h depends on K through the band split.
@@ -24,8 +28,8 @@ Spectral mask parameterizations:
 
 Spatial mask parameterizations:
   * ``per_pixel`` — one logit per pixel,
-  * ``gap_affine`` — scalar gate sigmoid(a * mean(|x_h|) + b) with two
-    learnable scalars (a global-average-pooling affine head).
+  * ``gap_affine`` — scalar gate sigmoid(a * mean(|x_h|) + b) per grid with
+    two learnable scalars (a global-average-pooling affine head).
 """
 
 from __future__ import annotations
@@ -36,7 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
-from .grids import as_grid, as_kernel, conv2_periodic, fft2, gaussian_kernel, ifft2
+from .grids import (
+    as_grids,
+    as_kernel,
+    conv2_periodic,
+    fft2,
+    gaussian_kernel,
+    ifft2,
+    shifted,
+    wrap_pad,
+)
 
 MASK_PER_FREQUENCY = "per_frequency"
 MASK_RADIAL_BINS = "radial_bins"
@@ -121,7 +134,7 @@ class FmmGrads:
 
 @dataclass
 class FmmActivations:
-    """Forward-pass record consumed by fmm_backward."""
+    """Forward-pass record consumed by fmm_backward; grids shaped like the input."""
 
     x_f: np.ndarray
     x_l: np.ndarray
@@ -129,8 +142,8 @@ class FmmActivations:
     u_l: np.ndarray  # fft2(x_l)
     spectral_mask: np.ndarray  # materialized (H, W) real mask
     x_l_refined: np.ndarray
-    spatial_mask: np.ndarray | float  # (H, W) mask or scalar gate value
-    gap_mean: float | None  # mean(|x_h|) in gap_affine mode
+    spatial_mask: np.ndarray  # (H, W) mask, or the gate value per grid shaped (..., 1, 1)
+    gap_mean: np.ndarray | None  # mean(|x_h|) per grid, shaped (..., 1, 1), in gap_affine mode
     x_h_refined: np.ndarray
     y_hat: np.ndarray
 
@@ -228,7 +241,7 @@ def spectral_mask_grad_to_logits(
 
 def band_split(x, p: FmmParams):
     """Split into (low, high) = (K * x, x - K * x); low + high == x exactly."""
-    x = as_grid(x)
+    x = as_grids(x)
     low = conv2_periodic(x, p.lowpass)
     return low, x - low
 
@@ -238,17 +251,17 @@ def apply_spectral_mask(low, mask: np.ndarray):
 
     Returns (refined, spectrum_of_low). Linear in the mask by construction.
     """
-    low = as_grid(low)
-    if mask.shape != low.shape:
-        raise DimensionError(f"mask shape {mask.shape} != grid {low.shape}")
+    low = as_grids(low)
+    if mask.shape != low.shape[-2:]:
+        raise DimensionError(f"mask shape {mask.shape} != grid {low.shape[-2:]}")
     u = fft2(low)
     return ifft2(mask * u), u
 
 
 def spectral_gate(low, p: FmmParams):
     """Materialize the spectral mask for p and gate `low`; returns (refined, u_l, mask)."""
-    low = as_grid(low)
-    mask = spectral_mask(p, *low.shape)
+    low = as_grids(low)
+    mask = spectral_mask(p, *low.shape[-2:])
     refined, u = apply_spectral_mask(low, mask)
     return refined, u, mask
 
@@ -256,20 +269,21 @@ def spectral_gate(low, p: FmmParams):
 def spatial_gate(high, p: FmmParams):
     """Gate the high band in the spatial domain (no FFT on this branch).
 
-    Returns (refined, mask_or_scalar, gap_mean) where gap_mean is None in
-    per_pixel mode.
+    Returns (refined, mask, gap_mean): in per_pixel mode the (H, W) mask and
+    None; in gap_affine mode the gate value and mean(|high|) of each grid,
+    shaped (..., 1, 1).
     """
-    high = as_grid(high)
+    high = as_grids(high)
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        if p.spatial_logits.shape != high.shape:
+        if p.spatial_logits.shape != high.shape[-2:]:
             raise DimensionError(
-                f"per_pixel logits shape {p.spatial_logits.shape} != grid {high.shape}"
+                f"per_pixel logits shape {p.spatial_logits.shape} != grid {high.shape[-2:]}"
             )
         m = sigmoid(p.spatial_logits)
         return m * high, m, None
     a, b = p.spatial_logits
-    g = float(np.mean(np.abs(high)))
-    m = float(sigmoid(np.asarray(a * g + b)))
+    g = np.mean(np.abs(high), axis=(-2, -1), keepdims=True)
+    m = sigmoid(a * g + b)
     return m * high, m, g
 
 
@@ -280,8 +294,8 @@ def spatial_gate(high, p: FmmParams):
 
 def fmm_forward(x, p: FmmParams) -> FmmActivations:
     """Run the operator, recording every intermediate needed by the backward pass."""
-    x = as_grid(x)
-    validate_params(p, *x.shape)
+    x = as_grids(x)
+    validate_params(p, *x.shape[-2:])
     x_l, x_h = band_split(x, p)
     x_l_ref, u_l, smask = spectral_gate(x_l, p)
     x_h_ref, pmask, gap_mean = spatial_gate(x_h, p)
@@ -303,51 +317,55 @@ def fmm_forward(x, p: FmmParams) -> FmmActivations:
 def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     """Exact dL/d(params) given dL/dy via hand-derived adjoints.
 
+    For a stack, L is the sum of the per-grid losses whose gradients
+    grad_out holds, so the parameter gradients are summed over the stack.
+
     Spectral path:  dL/dmask(xi) = Re[conj(fft2(grad_out))(xi) * u_l(xi)],
     then through the sigmoid/symmetrization (or bin pooling) to the logits.
     Spatial path:   per_pixel dL/dlogits = grad_out * x_h * m(1-m); gap_affine
-    chains the scalar gate through its GAP statistic.
+    chains each grid's scalar gate through its GAP statistic.
     Kernel path:    dL/dK accumulates the spectral-branch adjoint minus the
-    high-branch feedback (x_h = x - K*x), correlated against rolled copies of
+    high-branch feedback (x_h = x - K*x), correlated against shifted copies of
     the input — both couplings are mandatory.
     """
-    gy = as_grid(grad_out)
+    gy = as_grids(grad_out)
     if gy.shape != acts.y_hat.shape:
         raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
-    h, w = gy.shape
+    h, w = gy.shape[-2:]
 
     # --- spectral branch ---
     G = fft2(gy)
-    g_mask = (np.conj(G) * acts.u_l).real
+    g_mask = _sum_stack((np.conj(G) * acts.u_l).real)
     g_spectral = spectral_mask_grad_to_logits(p, h, w, acts.spectral_mask, g_mask)
     g_xl = ifft2(acts.spectral_mask * G)
 
     # --- spatial branch ---
+    m = acts.spatial_mask
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        m = acts.spatial_mask
-        g_spatial = gy * acts.x_h * m * (1.0 - m)
+        g_spatial = _sum_stack(gy * acts.x_h) * m * (1.0 - m)
         g_xh = gy * m
     else:
         a = float(p.spatial_logits[0])
-        m = float(acts.spatial_mask)
-        gmean = float(acts.gap_mean)
-        s = float(np.sum(gy * acts.x_h))
-        dt = s * m * (1.0 - m)  # dL/d(pre-sigmoid scalar)
-        g_spatial = np.array([dt * gmean, dt])
-        n = acts.x_h.size
-        g_xh = m * gy + (dt * a / n) * np.sign(acts.x_h)
+        s = np.sum(gy * acts.x_h, axis=(-2, -1), keepdims=True)
+        dt = s * m * (1.0 - m)  # dL/d(pre-sigmoid scalar), per grid
+        g_spatial = np.array([np.sum(dt * acts.gap_mean), np.sum(dt)])
+        g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
 
     # --- band split / kernel ---
     g_xl_total = g_xl - g_xh  # x_h = x - x_l feeds back negatively
     size = p.lowpass.shape[0]
     c = size // 2
+    xp = wrap_pad(acts.x_f, c)
     g_taps = np.empty_like(p.lowpass)
     for ai in range(size):
         for bi in range(size):
-            g_taps[ai, bi] = np.sum(
-                g_xl_total * np.roll(acts.x_f, (ai - c, bi - c), axis=(0, 1))
-            )
+            g_taps[ai, bi] = np.vdot(g_xl_total, shifted(xp, ai, bi, c))
     return FmmGrads(g_taps, g_spectral, g_spatial)
+
+
+def _sum_stack(a: np.ndarray) -> np.ndarray:
+    """Sum a grid or a stack of grids over the stack axis -> (H, W)."""
+    return a.reshape(-1, *a.shape[-2:]).sum(axis=0)
 
 
 def zero_grads(p: FmmParams) -> FmmGrads:

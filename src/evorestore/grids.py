@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* grids are 2D float64 arrays, row-major, values usually in [0, 1];
+* grids are 2D float64 arrays, row-major, values usually in [0, 1]; a stack
+  of same-shaped grids is one (N, H, W) array, and the transforms and the
+  convolution act on its last two axes;
 * the DFT is unitary (`norm="ortho"`), so Parseval holds with no extra factor
   and white noise keeps its variance across the transform;
 * convolution is circular (periodic boundary), so the convolution theorem is
@@ -31,27 +33,39 @@ def as_grid(x) -> np.ndarray:
     return a
 
 
+def as_grids(x) -> np.ndarray:
+    """Validate and coerce to a float64 grid (H, W) or stack of grids (N, H, W)."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise DimensionError(f"expected a grid or a stack of grids, got shape {a.shape}")
+    if min(a.shape) < 1:
+        raise DimensionError(f"grids must be non-empty, got shape {a.shape}")
+    return a
+
+
 def fft2(x) -> np.ndarray:
-    """Unitary forward DFT of a real grid -> complex spectrum (Hermitian)."""
-    return np.fft.fft2(as_grid(x), norm="ortho")
+    """Unitary forward DFT of a real grid (or each grid of a stack) -> Hermitian spectrum."""
+    return np.fft.fft2(as_grids(x), norm="ortho")
 
 
 def ifft2(u, tol: float = IFFT_IMAG_TOL) -> np.ndarray:
-    """Unitary inverse DFT expected to land on a real grid.
+    """Unitary inverse DFT expected to land on a real grid (or stack of grids).
 
-    The imaginary residue must stay below `tol` relative to the real norm
-    (Hermitian input guarantees this up to rounding); it is then discarded.
+    The imaginary residue of each grid must stay below `tol` relative to that
+    grid's real norm (Hermitian input guarantees this up to rounding); it is
+    then discarded.
     """
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] < 1 or u.shape[1] < 1:
-        raise DimensionError(f"spectrum must be a non-empty 2D array, got {u.shape}")
+    if u.ndim not in (2, 3) or min(u.shape) < 1:
+        raise DimensionError(f"spectrum must be a non-empty 2D or 3D array, got {u.shape}")
     z = np.fft.ifft2(u, norm="ortho")
-    re = np.linalg.norm(z.real)
-    im = np.linalg.norm(z.imag)
-    if im > tol * max(re, 1e-30):
+    re = np.linalg.norm(z.real, axis=(-2, -1))
+    im = np.linalg.norm(z.imag, axis=(-2, -1))
+    worst = np.max(im / np.maximum(re, 1e-30))
+    if worst > tol:
         raise NumericIntegrityError(
-            f"inverse FFT imaginary residue {im:.3e} exceeds {tol:.1e} x real norm {re:.3e}; "
-            "input spectrum is not Hermitian-symmetric"
+            f"inverse FFT imaginary residue is {worst:.3e} x the real norm of a grid, "
+            f"above {tol:.1e}; input spectrum is not Hermitian-symmetric"
         )
     return np.ascontiguousarray(z.real)
 
@@ -73,22 +87,39 @@ def _check_kernel_fits(k: np.ndarray, h: int, w: int) -> None:
         )
 
 
+def wrap_pad(x: np.ndarray, c: int) -> np.ndarray:
+    """Periodic padding by c on each side of the last two axes.
+
+    ``shifted(xp, a, b, c)`` of the result equals ``np.roll(x, (a - c, b - c),
+    axis=(-2, -1))`` for 0 <= a, b <= 2c, without copying.
+    """
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(c, c), (c, c)], mode="wrap")
+
+
+def shifted(xp: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
+    """View of a `wrap_pad`-ded array rolled by (a - c, b - c) over its last two axes."""
+    h, w = xp.shape[-2] - 2 * c, xp.shape[-1] - 2 * c
+    return xp[..., 2 * c - a : 2 * c - a + h, 2 * c - b : 2 * c - b + w]
+
+
 def conv2_periodic(x, k) -> np.ndarray:
     """Circular 2D convolution with the kernel's center tap aligned to the origin.
 
     y[i, j] = sum_{a,b} k[a, b] * x[(i - (a - c)) % H, (j - (b - c)) % W],  c = size // 2
 
-    Implemented as a tap-by-tap rolled accumulation so the result matches a
-    brute-force double loop bit-for-bit (same accumulation order).
+    Works on a grid or on each grid of a stack. Implemented as a tap-by-tap
+    accumulation of shifted views of one wrap-padded copy, so the result
+    matches a brute-force double loop bit-for-bit (same accumulation order).
     """
-    x = as_grid(x)
+    x = as_grids(x)
     k = as_kernel(k)
-    _check_kernel_fits(k, *x.shape)
+    _check_kernel_fits(k, *x.shape[-2:])
     c = k.shape[0] // 2
+    xp = wrap_pad(x, c)
     out = np.zeros_like(x)
     for a in range(k.shape[0]):
         for b in range(k.shape[1]):
-            out += k[a, b] * np.roll(x, (a - c, b - c), axis=(0, 1))
+            out += k[a, b] * shifted(xp, a, b, c)
     return out
 
 

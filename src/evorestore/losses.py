@@ -5,6 +5,11 @@ gradient chains through the Gaussian windowed moments at every scale and the
 2x2-average downsampling between scales. Windowing is circular (periodic),
 consistent with the package-wide periodic convolution convention, which makes
 the window operator exactly self-adjoint.
+
+Each loss takes one grid (H, W) or a stack (N, H, W). A grid gives a float
+value; a stack gives one value per grid, shaped (N,), and the gradient of
+each grid's value with respect to that grid. At each scale the windowed
+moments of a whole stack go through one real FFT and its inverse.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .grids import as_grid, gaussian_kernel, transfer
+from .grids import as_grids, gaussian_kernel, transfer
 
 DEFAULT_CHARBONNIER_EPS = 1e-3
 
@@ -44,26 +49,42 @@ class WeightPair:
 
 @dataclass
 class LossValue:
-    fidelity: float
-    perceptual: float
-    combined: float
+    """Loss terms: floats for one grid, (N,) arrays for a stack."""
+
+    fidelity: float | np.ndarray
+    perceptual: float | np.ndarray
+    combined: float | np.ndarray
     alpha: float
     beta: float
 
 
-def charbonnier(pred, target, eps: float = DEFAULT_CHARBONNIER_EPS):
-    """Smooth L1 fidelity: mean(sqrt(diff^2 + eps^2)) and its exact gradient."""
-    pred = as_grid(pred)
-    target = as_grid(target)
+def _pair(pred, target):
+    pred = as_grids(pred)
+    target = as_grids(target)
     if pred.shape != target.shape:
         raise DimensionError(f"shape mismatch {pred.shape} vs {target.shape}")
+    return pred, target
+
+
+def _grid_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of each grid, shaped (..., 1, 1) to broadcast against the grids."""
+    return np.mean(a, axis=(-2, -1), keepdims=True)
+
+
+def _per_grid(v: np.ndarray):
+    """(..., 1, 1) per-grid values -> a float for one grid, an (N,) array for a stack."""
+    return v.item() if v.ndim == 2 else v.reshape(-1)
+
+
+def charbonnier(pred, target, eps: float = DEFAULT_CHARBONNIER_EPS):
+    """Smooth L1 fidelity: mean(sqrt(diff^2 + eps^2)) and its exact gradient."""
+    pred, target = _pair(pred, target)
     if not eps > 0:
         raise ConfigError(f"charbonnier eps must be > 0, got {eps}")
     diff = pred - target
     root = np.sqrt(diff * diff + eps * eps)
-    value = float(np.mean(root))
-    grad = diff / (root * diff.size)
-    return value, grad
+    h, w = diff.shape[-2:]
+    return _per_grid(_grid_mean(root)), diff / (root * (h * w))
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +143,54 @@ _WINDOW_CACHE: dict = {}
 
 
 def _window_transfer(h: int, w: int, size: int, sigma: float) -> np.ndarray:
+    """Real half-spectrum (h, w // 2 + 1) of the Gaussian window, for rfft2 grids.
+
+    The window is symmetric about the origin, so its transfer is real.
+    """
     key = (h, w, size, sigma)
     t = _WINDOW_CACHE.get(key)
     if t is None:
-        t = transfer(gaussian_kernel(size, sigma), h, w)
+        t = transfer(gaussian_kernel(size, sigma), h, w)[:, : w // 2 + 1].real.copy()
         _WINDOW_CACHE[key] = t
     return t
 
 
 def _wfilt(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Circular correlation with the (symmetric) Gaussian window, via FFT."""
-    return np.fft.ifft2(np.fft.fft2(x) * t).real
+    """Circular correlation of every grid in x with the symmetric window, via one real FFT."""
+    shape = x.shape[-2:]
+    f = np.fft.rfft2(x)
+    del x  # a stack built for this call is freed before the inverse transform
+    f *= t
+    return np.fft.irfft2(f, s=shape)
 
 
 def _downsample2(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling; trailing odd row/column is dropped."""
-    h2, w2 = x.shape[0] // 2, x.shape[1] // 2
-    v = x[: 2 * h2, : 2 * w2]
-    return 0.25 * (v[0::2, 0::2] + v[1::2, 0::2] + v[0::2, 1::2] + v[1::2, 1::2])
+    """2x2 average pooling of each grid; trailing odd row/column is dropped."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    v = x[..., : 2 * h2, : 2 * w2]
+    return 0.25 * (
+        v[..., 0::2, 0::2] + v[..., 1::2, 0::2] + v[..., 0::2, 1::2] + v[..., 1::2, 1::2]
+    )
 
 
 def _upsample_adjoint(g: np.ndarray, shape) -> np.ndarray:
     """Exact adjoint of _downsample2 onto the given finer shape."""
     out = np.zeros(shape)
-    h2, w2 = g.shape
+    h2, w2 = g.shape[-2:]
     q = 0.25 * g
-    out[0 : 2 * h2 : 2, 0 : 2 * w2 : 2] = q
-    out[1 : 2 * h2 : 2, 0 : 2 * w2 : 2] = q
-    out[0 : 2 * h2 : 2, 1 : 2 * w2 : 2] = q
-    out[1 : 2 * h2 : 2, 1 : 2 * w2 : 2] = q
+    out[..., 0 : 2 * h2 : 2, 0 : 2 * w2 : 2] = q
+    out[..., 1 : 2 * h2 : 2, 0 : 2 * w2 : 2] = q
+    out[..., 0 : 2 * h2 : 2, 1 : 2 * w2 : 2] = q
+    out[..., 1 : 2 * h2 : 2, 1 : 2 * w2 : 2] = q
     return out
 
 
 def _ssim_parts(x, y, t, c1, c2, with_luminance):
-    mx = _wfilt(x, t)
-    my = _wfilt(y, t)
-    sxx = _wfilt(x * x, t) - mx * mx
-    syy = _wfilt(y * y, t) - my * my
-    sxy = _wfilt(x * y, t) - mx * my
+    """Windowed SSIM maps of two stacks; the five moments share one transform."""
+    mx, my, exx, eyy, exy = _wfilt(np.stack([x, y, x * x, y * y, x * y]), t)
+    sxx = exx - mx * mx
+    syy = eyy - my * my
+    sxy = exy - mx * my
     q = sxx + syy + c2
     cs = (2.0 * sxy + c2) / q
     parts = {"x": x, "y": y, "mx": mx, "my": my, "q": q, "cs": cs}
@@ -171,66 +202,73 @@ def _ssim_parts(x, y, t, c1, c2, with_luminance):
 
 
 def _ssim_scale_backward(parts, t, g_cs_mean, g_l_mean):
-    """dJ/dx for one scale given scalar grads on mean(cs) (and mean(l))."""
+    """dJ/dx for one scale given per-grid grads on mean(cs) (and mean(l) at the coarsest)."""
     x, y = parts["x"], parts["y"]
-    n = x.size
+    n = x.shape[-2] * x.shape[-1]
     u = g_cs_mean / n
     a_sxy = u * (2.0 / parts["q"])
     a_sxx = u * (-parts["cs"] / parts["q"])
-    dx = (
-        2.0 * x * _wfilt(a_sxx, t)
-        - 2.0 * _wfilt(a_sxx * parts["mx"], t)
-        + y * _wfilt(a_sxy, t)
-        - _wfilt(a_sxy * parts["my"], t)
-    )
-    if g_l_mean != 0.0:
+    mean_term = 2.0 * a_sxx * parts["mx"] + a_sxy * parts["my"]
+    if g_l_mean is not None:
         b_mx = (g_l_mean / n) * 2.0 * (parts["my"] - parts["l"] * parts["mx"]) / parts["s"]
-        dx = dx + _wfilt(b_mx, t)
-    return dx
+        mean_term = mean_term - b_mx
+    f_sxx, f_sxy, f_mean = _wfilt(np.stack([a_sxx, a_sxy, mean_term]), t)
+    return 2.0 * x * f_sxx + y * f_sxy - f_mean
 
 
-def _ms_ssim_core(pred, target, cfg: MsSsimConfig, want_grad: bool):
-    pred = as_grid(pred)
-    target = as_grid(target)
-    if pred.shape != target.shape:
-        raise DimensionError(f"shape mismatch {pred.shape} vs {target.shape}")
-    cfg.validate_shape(*pred.shape)
+def _ms_ssim_core(pred, target, cfg: MsSsimConfig, want_grad: bool, want_ssim: bool = False):
+    """MS-SSIM of a grid or of each grid of a stack.
 
+    Returns (values, grads or None, SSIM values or None); the values are
+    shaped (..., 1, 1). The SSIM values are the single-scale index at the
+    finest scale, from the same windowed moments.
+    """
+    cfg.validate_shape(*pred.shape[-2:])
     xs, ys = [pred], [target]
     for _ in range(cfg.scales - 1):
         xs.append(_downsample2(xs[-1]))
         ys.append(_downsample2(ys[-1]))
 
     parts_all, cs_means, transfers = [], [], []
-    l_mean = None
     for j in range(cfg.scales):
-        t = _window_transfer(*xs[j].shape, cfg.window_size, cfg.window_sigma)
+        t = _window_transfer(*xs[j].shape[-2:], cfg.window_size, cfg.window_sigma)
         transfers.append(t)
-        parts = _ssim_parts(xs[j], ys[j], t, cfg.c1, cfg.c2, j == cfg.scales - 1)
+        coarsest = j == cfg.scales - 1
+        parts = _ssim_parts(
+            xs[j], ys[j], t, cfg.c1, cfg.c2, coarsest or (want_ssim and j == 0)
+        )
         parts_all.append(parts)
-        cs_means.append(max(float(np.mean(parts["cs"])), _MEAN_FLOOR))
-        if j == cfg.scales - 1:
-            l_mean = max(float(np.mean(parts["l"])), _MEAN_FLOOR)
+        cs_means.append(np.maximum(_grid_mean(parts["cs"]), _MEAN_FLOOR))
+    l_mean = np.maximum(_grid_mean(parts_all[-1]["l"]), _MEAN_FLOOR)
+    ssim = _grid_mean(parts_all[0]["l"] * parts_all[0]["cs"]) if want_ssim else None
 
     w = cfg.weights
-    value = float(l_mean ** w[-1])
+    value = l_mean ** w[-1]
     for j in range(cfg.scales):
-        value *= cs_means[j] ** w[j]
+        value = value * cs_means[j] ** w[j]
 
     if not want_grad:
-        return value, None
+        return value, None, ssim
 
-    # Scalar chain: value = prod_j csm_j^{w_j} * lm^{w_last}
+    # Scalar chain per grid: value = prod_j csm_j^{w_j} * lm^{w_last}
     g_cs = [value * w[j] / cs_means[j] for j in range(cfg.scales)]
     g_l = value * w[-1] / l_mean
     # Walk coarse -> fine, pushing through the downsampling adjoint.
     g = None
     for j in range(cfg.scales - 1, -1, -1):
         dx = _ssim_scale_backward(
-            parts_all[j], transfers[j], g_cs[j], g_l if j == cfg.scales - 1 else 0.0
+            parts_all[j], transfers[j], g_cs[j], g_l if j == cfg.scales - 1 else None
         )
         g = dx if g is None else dx + _upsample_adjoint(g, xs[j].shape)
-    return value, g
+    return value, g, ssim
+
+
+def _ms_ssim_call(pred, target, cfg, want_grad, want_ssim=False):
+    pred, target = _pair(pred, target)
+    if cfg is None:
+        cfg = MsSsimConfig.for_shape(*pred.shape[-2:])
+    value, grad, ssim = _ms_ssim_core(pred, target, cfg, want_grad, want_ssim)
+    return _per_grid(value), grad, (None if ssim is None else _per_grid(ssim))
 
 
 def ms_ssim(pred, target, cfg: MsSsimConfig | None = None):
@@ -239,31 +277,30 @@ def ms_ssim(pred, target, cfg: MsSsimConfig | None = None):
     cs terms contribute at every scale, the luminance term only at the
     coarsest, each raised to its (renormalized) canonical exponent weight.
     """
-    if cfg is None:
-        cfg = MsSsimConfig.for_shape(*np.shape(pred))
-    return _ms_ssim_core(pred, target, cfg, want_grad=True)
+    return _ms_ssim_call(pred, target, cfg, want_grad=True)[:2]
 
 
-def ms_ssim_value(pred, target, cfg: MsSsimConfig | None = None) -> float:
+def ms_ssim_value(pred, target, cfg: MsSsimConfig | None = None):
     """Value-only MS-SSIM (skips the backward bookkeeping)."""
-    if cfg is None:
-        cfg = MsSsimConfig.for_shape(*np.shape(pred))
-    return _ms_ssim_core(pred, target, cfg, want_grad=False)[0]
+    return _ms_ssim_call(pred, target, cfg, want_grad=False)[0]
 
 
-def ssim_index(pred, target, window_size: int = 11, window_sigma: float = 1.5) -> float:
+def ssim_and_ms_ssim(pred, target, cfg: MsSsimConfig | None = None):
+    """(single-scale SSIM, MS-SSIM) in one pass; SSIM uses cfg's window and constants."""
+    value, _, ssim = _ms_ssim_call(pred, target, cfg, want_grad=False, want_ssim=True)
+    return ssim, value
+
+
+def ssim_index(pred, target, window_size: int = 11, window_sigma: float = 1.5):
     """Plain single-scale SSIM (mean of the joint luminance*structure map)."""
-    pred = as_grid(pred)
-    target = as_grid(target)
-    if pred.shape != target.shape:
-        raise DimensionError(f"shape mismatch {pred.shape} vs {target.shape}")
-    if min(pred.shape) < window_size:
+    pred, target = _pair(pred, target)
+    if min(pred.shape[-2:]) < window_size:
         raise ConfigError(
-            f"grid {pred.shape} smaller than the {window_size}-tap SSIM window"
+            f"grid {pred.shape[-2:]} smaller than the {window_size}-tap SSIM window"
         )
-    t = _window_transfer(*pred.shape, window_size, window_sigma)
+    t = _window_transfer(*pred.shape[-2:], window_size, window_sigma)
     parts = _ssim_parts(pred, target, t, SSIM_C1, SSIM_C2, True)
-    return float(np.mean(parts["l"] * parts["cs"]))
+    return _per_grid(_grid_mean(parts["l"] * parts["cs"]))
 
 
 def combined_loss(

@@ -11,8 +11,10 @@ Schedule semantics (all 1-based iteration indices):
 * a combined batch loss above `divergence_limit` aborts with DivergenceError
   naming the iteration.
 
+Each batch runs through the operator, the losses and the backward pass as
+stacks of pairs (see util.stacks), and the validation pass is eos.validate.
 Two runs with identical configs and datasets produce bit-identical parameter
-bytes and trace rows; worker parallelism never changes any output.
+bytes and trace rows.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .degrade import PairedDataset, capped_psnr, psnr, ssim
+from .degrade import PSNR_CAP_DB, PairedDataset
 from .errors import ConfigError, DivergenceError
-from .eos import EosConfig, EosTrace, run_eos
+from .eos import EosConfig, EosTrace, run_eos, validate
 from .fmm import (
     FmmParams,
     apply_update,
@@ -34,15 +36,8 @@ from .fmm import (
     fmm_forward,
     zero_grads,
 )
-from .losses import (
-    DEFAULT_CHARBONNIER_EPS,
-    MsSsimConfig,
-    WeightPair,
-    charbonnier,
-    combined_loss,
-    ms_ssim_value,
-)
-from .util import parallel_map, write_csv
+from .losses import DEFAULT_CHARBONNIER_EPS, MsSsimConfig, WeightPair, combined_loss
+from .util import stacks, write_csv
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -81,6 +76,10 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ConfigError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        if self.n_bins < 2:
+            raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         wsum = self.init_alpha + self.init_beta
         if self.init_alpha < 0 or self.init_beta < 0 or abs(wsum - 1.0) > 1e-9:
             raise ConfigError(
@@ -152,7 +151,6 @@ def train(
     cfg: TrainConfig,
     *,
     params: FmmParams | None = None,
-    workers: int = 1,
 ):
     """Run the loop; returns (trained FmmParams, TrainTrace)."""
     cfg.validate()
@@ -186,19 +184,16 @@ def train(
         if cfg.lr_halve_at is not None and it > cfg.lr_halve_at:
             lr = cfg.learning_rate / 2.0
 
-        batch = sampler.next_batch()
+        batch = [train_rows[i] for i in sampler.next_batch()]
         grads = zero_grads(params)
         fid_sum = perc_sum = comb_sum = 0.0
-        for bi in batch:
-            row = train_rows[bi]
-            acts = fmm_forward(row.degraded, params)
-            lv, g_out = combined_loss(
-                acts.y_hat, row.clean, active, cfg.charbonnier_eps, ms_cfg
-            )
+        for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
+            acts = fmm_forward(x, params)
+            lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps, ms_cfg)
             grads.scaled_add(fmm_backward(acts, params, g_out))
-            fid_sum += lv.fidelity
-            perc_sum += lv.perceptual
-            comb_sum += lv.combined
+            fid_sum += float(np.sum(lv.fidelity))
+            perc_sum += float(np.sum(lv.perceptual))
+            comb_sum += float(np.sum(lv.combined))
         nb = len(batch)
         fid_m, perc_m, comb_m = fid_sum / nb, perc_sum / nb, comb_sum / nb
         if not math.isfinite(comb_m) or comb_m > DIVERGENCE_LIMIT:
@@ -211,7 +206,7 @@ def train(
 
         if cfg.eval_every and it % cfg.eval_every == 0 and val_set:
             trace.evals.append(
-                _eval_point(it, params, val_set, cfg.charbonnier_eps, ms_cfg, workers)
+                _eval_point(it, params, val_set, cfg.charbonnier_eps, ms_cfg)
             )
 
         if (
@@ -229,7 +224,6 @@ def train(
                 trigger_index=trigger,
                 eps=cfg.charbonnier_eps,
                 ms_cfg=ms_cfg,
-                workers=workers,
             )
             active = winner
             trace.eos_traces.append(eos_trace)
@@ -239,25 +233,14 @@ def train(
     return params, trace
 
 
-def _eval_point(it, params, val_set, eps, ms_cfg, workers) -> EvalPoint:
-    def one(pair):
-        degraded, clean = pair
-        y = fmm_forward(degraded, params).y_hat
-        return (
-            capped_psnr(y, clean),
-            ssim(y, clean),
-            charbonnier(y, clean, eps)[0],
-            1.0 - ms_ssim_value(y, clean, ms_cfg),
-        )
-
-    vals = parallel_map(one, val_set, workers)
-    n = len(vals)
+def _eval_point(it, params, val_set, eps, ms_cfg) -> EvalPoint:
+    t = validate(params, val_set, eps, ms_cfg)
     return EvalPoint(
         it,
-        sum(v[0] for v in vals) / n,
-        sum(v[1] for v in vals) / n,
-        sum(v[2] for v in vals) / n,
-        sum(v[3] for v in vals) / n,
+        float(np.mean(np.minimum(t.psnr, PSNR_CAP_DB))),
+        float(np.mean(t.ssim)),
+        float(np.mean(t.fid)),
+        float(np.mean(t.perc)),
     )
 
 
@@ -283,7 +266,6 @@ def evaluate(
     dataset: PairedDataset,
     split: str = "val",
     eps: float = DEFAULT_CHARBONNIER_EPS,
-    workers: int = 1,
 ) -> list:
     """Per-kind and aggregate restoration metrics on one split."""
     idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
@@ -293,41 +275,27 @@ def evaluate(
     if not rows:
         raise ConfigError(f"split {split!r} is empty")
     ms_cfg = MsSsimConfig.for_shape(*rows[0].clean.shape)
+    t = validate(params, [(r.degraded, r.clean) for r in rows], eps, ms_cfg)
+    kinds = np.array([r.kind for r in rows])
 
-    def one(row):
-        y = fmm_forward(row.degraded, params).y_hat
-        return (
-            row.kind,
-            psnr(y, row.clean),
-            ssim(y, row.clean),
-            charbonnier(y, row.clean, eps)[0],
-            1.0 - ms_ssim_value(y, row.clean, ms_cfg),
-        )
-
-    per_pair = parallel_map(one, rows, workers)
-
-    def reduce(kind, entries):
-        finite = [e[1] for e in entries if math.isfinite(e[1])]
-        capped = len(entries) - len(finite)
-        psnr_mean = sum(finite) / len(finite) if finite else PSNR_SENTINEL
+    def reduce(kind, sel):
+        psnr = t.psnr[sel]
+        finite = psnr[np.isfinite(psnr)]
         return MetricsRow(
             split,
             kind,
-            len(entries),
-            capped,
-            psnr_mean,
-            sum(e[2] for e in entries) / len(entries),
-            sum(e[3] for e in entries) / len(entries),
-            sum(e[4] for e in entries) / len(entries),
+            int(psnr.size),
+            int(psnr.size - finite.size),
+            float(np.mean(finite)) if finite.size else PSNR_CAP_DB,
+            float(np.mean(t.ssim[sel])),
+            float(np.mean(t.fid[sel])),
+            float(np.mean(t.perc[sel])),
         )
 
-    kinds = sorted({e[0] for e in per_pair})
-    table = [reduce(k, [e for e in per_pair if e[0] == k]) for k in kinds]
-    table.append(reduce("all", per_pair))
+    table = [reduce(k, kinds == k) for k in sorted(set(kinds.tolist()))]
+    table.append(reduce("all", slice(None)))
     return table
 
-
-PSNR_SENTINEL = 99.0
 
 TRACE_HEADER = ("iteration", "loss_fid", "loss_perc", "loss_combined", "alpha", "beta", "lr")
 EVAL_HEADER = ("iteration", "psnr", "ssim", "loss_fid", "loss_perc")

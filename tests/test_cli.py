@@ -225,6 +225,22 @@ def test_report_svg_charts(run_dirs, tmp_path):
     assert not (edge / "none" / "psnr_curve.svg").exists()
 
 
+def test_report_rejects_malformed_eos_summary(run_dirs, tmp_path, capsys):
+    _, out = run_dirs
+    (tmp_path / "run_summary.txt").write_text((out / "run_summary.txt").read_text())
+    summary = tmp_path / "eos_summary.csv"
+    for text, column in (
+        ("trigger,eval_ms\n1,2.5\n", "total_ms"),
+        ("trigger,eval_ms,total_ms,evaluations\n1,2.5,fast,6\n", "total_ms"),
+        ("trigger,eval_ms,total_ms,evaluations\n1,2.5,3.0,6.5\n", "evaluations"),
+    ):
+        summary.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(tmp_path), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "eos_summary.csv" in err and repr(column) in err
+
+
 def test_oracle_command_filter():
     assert cli.main(["oracle", "--fast", "--only", "simplex"]) == 0
     assert cli.main(["oracle", "--only", "no-such-check"]) == 2
@@ -240,6 +256,8 @@ def test_exit_codes():
     # missing images directory surfaces as the I/O exit code
     assert cli.main(["degrade", "--images", "/no/such/dir", "--set", SPECS]) == 1
     assert cli.main(["train", "--set", "bogus.key=1"]) == 2
+    # an even lowpass kernel is a config error, not a traceback from the operator
+    assert cli.main(["train", "--set", "trainer.kernel_size=4"]) == 2
 
 
 def test_divergence_exit_code(run_dirs, tmp_path):

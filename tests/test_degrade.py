@@ -6,21 +6,19 @@ import pytest
 from evorestore.degrade import (
     DegradationSpec,
     MANIFEST_HEADER,
-    PSNR_CAP_DB,
     SplitConfig,
     apply_degradation,
     build_dataset,
-    capped_psnr,
     load_dataset,
     psnr,
     read_image,
     read_pgm,
-    ssim,
     synthetic_clean_images,
     write_dataset,
     write_pgm,
 )
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
+from evorestore.losses import ssim_index
 
 
 def flat(v=0.5, n=32):
@@ -96,7 +94,9 @@ def test_spec_validation():
 def test_psnr_reference_points():
     assert abs(psnr(flat(0.5), flat(0.6)) - 20.0) < 1e-12
     assert psnr(flat(0.5), flat(0.5)) == math.inf
-    assert capped_psnr(flat(0.5), flat(0.5)) == PSNR_CAP_DB
+    # a stack gives one value per grid
+    got = psnr(np.stack([flat(0.5), flat(0.5)]), np.stack([flat(0.6), flat(0.5)]))
+    assert got.shape == (2,) and abs(got[0] - 20.0) < 1e-12 and got[1] == math.inf
     with pytest.raises(DimensionError):
         psnr(flat(0.5, 8), flat(0.5, 9))
 
@@ -114,10 +114,10 @@ def test_psnr_monotone_in_noise_level():
 def test_ssim_wrapper():
     rng = np.random.default_rng(2)
     img = rng.uniform(0, 1, (32, 32))
-    assert abs(ssim(img, img) - 1.0) < 1e-12
+    assert abs(ssim_index(img, img) - 1.0) < 1e-12
     noisy = apply_degradation(img, DegradationSpec.noise(sigma=0.1, seed=1))
-    assert abs(ssim(img, noisy) - ssim(noisy, img)) < 1e-12
-    assert ssim(img, noisy) < 1.0
+    assert abs(ssim_index(img, noisy) - ssim_index(noisy, img)) < 1e-12
+    assert ssim_index(img, noisy) < 1.0
 
 
 def test_synthetic_clean_images():

@@ -17,6 +17,7 @@ from evorestore.eos import (
     run_eos,
     sample_simplex,
     val_losses,
+    validate,
     write_summary_csv,
     write_trace_csv,
 )
@@ -105,6 +106,43 @@ def rigged_pairs(kind, n=16):
         noise = np.sign(np.random.default_rng(7).normal(size=(n, n))) * 0.05
         return [(ramp + noise, ramp)]
     return [(ramp + 0.12, ramp)]
+
+
+def test_validate_matches_per_pair_metrics():
+    from evorestore.degrade import psnr
+    from evorestore.losses import charbonnier, ms_ssim_value, ssim_index
+
+    params = identity_model(48)
+    rng = np.random.default_rng(12)
+    clean = [rng.uniform(0.2, 0.8, (48, 48)) for _ in range(7)]
+    pairs = [(c + rng.normal(0, 0.05, c.shape), c) for c in clean]
+    pairs[3] = (clean[3], fmm.fmm_forward(clean[3], params).y_hat)  # exact: +inf PSNR
+    table = validate(params, pairs)  # runs as stacks of 3, 3 and 1 pairs
+    assert table.psnr.shape == table.ssim.shape == table.fid.shape == table.perc.shape == (7,)
+    for n, (x, c) in enumerate(pairs):
+        y = fmm.fmm_forward(x, params).y_hat
+        assert table.psnr[n] == psnr(y, c) or abs(table.psnr[n] - psnr(y, c)) <= 1e-9
+        assert abs(table.ssim[n] - ssim_index(y, c)) <= 1e-12
+        assert abs(table.fid[n] - charbonnier(y, c)[0]) <= 1e-12
+        assert abs(table.perc[n] - (1.0 - ms_ssim_value(y, c))) <= 1e-12
+    assert math.isinf(table.psnr[3])
+    with pytest.raises(ConfigError):
+        validate(params, [])
+    # a shape-free model on a mixed-shape set: each stack gets its own MS-SSIM config
+    shape_free = fmm.FmmParams(
+        lowpass=identity_kernel(1),
+        mask_mode=fmm.MASK_RADIAL_BINS,
+        spectral_logits=np.linspace(-1.0, 2.0, 4),
+        spatial_mode=fmm.SPATIAL_GAP_AFFINE,
+        spatial_logits=np.array([0.5, -0.2]),
+    )
+    mixed = [(c + rng.normal(0, 0.05, c.shape), c)
+             for c in (rng.uniform(0.2, 0.8, s) for s in [(48, 48), (48, 48), (16, 16)])]
+    table = validate(shape_free, mixed)
+    for n, (x, c) in enumerate(mixed):
+        y = fmm.fmm_forward(x, shape_free).y_hat
+        assert abs(table.perc[n] - (1.0 - ms_ssim_value(y, c))) <= 1e-12
+        assert abs(table.ssim[n] - ssim_index(y, c)) <= 1e-12
 
 
 def test_fitness_decouples_at_vertices():

@@ -131,6 +131,53 @@ def test_apply_spectral_mask_linear_in_mask():
     assert np.max(np.abs(r12 - (0.3 * r1 + 0.7 * r2))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "mask_mode,spatial_mode",
+    [
+        (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL),
+        (fmm.MASK_RADIAL_BINS, fmm.SPATIAL_GAP_AFFINE),
+    ],
+)
+@pytest.mark.parametrize("h,w", [(12, 12), (45, 50)])
+def test_stack_matches_per_image(mask_mode, spatial_mode, h, w):
+    rng = np.random.default_rng(10)
+    xs = rand_image(rng, h, w)[None] + rng.normal(0, 0.1, (3, h, w))
+    targets = rng.uniform(0.1, 0.9, (3, h, w))
+    p = fmm.default_params(h, w, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=4)
+    p.lowpass = p.lowpass + 0.01 * rng.normal(size=p.lowpass.shape)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    p.spatial_logits = rng.normal(0, 0.5, p.spatial_logits.shape)
+
+    acts = fmm.fmm_forward(xs, p)
+    grads = fmm.fmm_backward(acts, p, acts.y_hat - targets)
+    summed = fmm.zero_grads(p)
+    for n in range(3):
+        one = fmm.fmm_forward(xs[n], p)
+        assert np.max(np.abs(acts.y_hat[n] - one.y_hat)) <= 1e-12
+        summed.scaled_add(fmm.fmm_backward(one, p, one.y_hat - targets[n]))
+    for got, want in (
+        (grads.lowpass, summed.lowpass),
+        (grads.spectral_logits, summed.spectral_logits),
+        (grads.spatial_logits, summed.spatial_logits),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_non_hermitian_mask_on_a_stack_raises():
+    # the residue is judged per grid: a huge constant grid in the same stack
+    # must not hide the residue of a small one
+    rng = np.random.default_rng(11)
+    stack = np.stack([np.full((8, 8), 1e6), rng.normal(size=(8, 8))])
+    mask = np.ones((8, 8))
+    mask[1, 2] = 0.0  # its mirror (7, 6) stays 1
+    with pytest.raises(NumericIntegrityError):
+        fmm.apply_spectral_mask(stack, mask)
+    sym = 0.5 * (mask + fmm.hermitian_flip(mask))
+    refined, _ = fmm.apply_spectral_mask(stack, sym)
+    assert refined.shape == stack.shape
+
+
 def fd_loss(x, p, target):
     acts = fmm.fmm_forward(x, p)
     return 0.5 * float(np.sum((acts.y_hat - target) ** 2))

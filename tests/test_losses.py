@@ -10,6 +10,7 @@ from evorestore.losses import (
     combined_loss,
     ms_ssim,
     ms_ssim_value,
+    ssim_and_ms_ssim,
     ssim_index,
 )
 
@@ -131,6 +132,27 @@ def test_ssim_index_basics():
     y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
     assert abs(ssim_index(x, y) - ssim_index(y, x)) < 1e-12
     assert ssim_index(x, y) < 1.0
+
+
+@pytest.mark.parametrize("h,w", [(48, 48), (45, 50)])
+def test_stack_matches_per_image(h, w):
+    # 45x50 exercises irfft2's output shape and the dropped odd row/column
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1, (3, h, w))
+    y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
+    fid, g_fid = charbonnier(x, y)
+    ms, g_ms = ms_ssim(x, y)
+    ss, ms_too = ssim_and_ms_ssim(x, y)
+    assert fid.shape == ms.shape == ss.shape == (3,)
+    assert np.array_equal(ms_value := ms_ssim_value(x, y), ms) and np.array_equal(ms_too, ms)
+    for n in range(3):
+        f, gf = charbonnier(x[n], y[n])
+        m, gm = ms_ssim(x[n], y[n])
+        assert isinstance(f, float) and isinstance(m, float)
+        assert abs(fid[n] - f) <= 1e-12 and abs(ms_value[n] - m) <= 1e-12
+        assert abs(ss[n] - ssim_index(x[n], y[n])) <= 1e-12
+        assert np.max(np.abs(g_fid[n] - gf)) <= 1e-12
+        assert np.max(np.abs(g_ms[n] - gm)) <= 1e-12
 
 
 def test_combined_loss_is_exact_affine_mix():

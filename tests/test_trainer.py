@@ -18,6 +18,7 @@ from evorestore.trainer import (
     write_metrics_csv,
     write_trace_csv,
 )
+from evorestore.util import STACK_PIXELS, stacks
 
 NO_TRIGGER = 10**6
 
@@ -71,14 +72,6 @@ def test_training_is_deterministic():
         (r.iteration, r.loss_combined, r.alpha) for r in t2.rows
     ]
     assert t1.weight_timeline == t2.weight_timeline
-
-
-def test_worker_count_never_changes_results():
-    ds = small_dataset()
-    cfg = small_config(iterations=12, eos=EosConfig(4, 2, 1, 0.3, 6, 0))
-    p1, _ = train(ds, cfg, workers=1)
-    p2, _ = train(ds, cfg, workers=3)
-    assert fmm.params_to_bytes(p1) == fmm.params_to_bytes(p2)
 
 
 def test_trigger_schedule_and_weight_timeline():
@@ -142,6 +135,9 @@ def test_config_validation():
         small_config(init_alpha=0.7, init_beta=0.2).validate()  # off the simplex
     with pytest.raises(ConfigError):
         small_config(freeze=("bias",)).validate()
+    for bad in (dict(kernel_size=4), dict(kernel_size=0), dict(kernel_size=-3), dict(n_bins=1)):
+        with pytest.raises(ConfigError):
+            small_config(**bad).validate()
     with pytest.raises(ConfigError):
         train(small_dataset(), small_config(mask_mode="vertical"))
 
@@ -159,6 +155,26 @@ def test_evaluate_table():
     assert all_row.capped == 0
     with pytest.raises(ConfigError):
         evaluate(params, ds, "test")  # empty split
+
+
+def test_stacks_bound_pixels_and_split_at_shape_changes():
+    per_stack = STACK_PIXELS // (48 * 48)
+    grids = [np.full((48, 48), float(i)) for i in range(2 * per_stack + 1)]
+    got = list(stacks(grids, grids[::-1]))
+    assert [a.shape[0] for a, _ in got] == [per_stack, per_stack, 1]
+    assert np.array_equal(np.concatenate([a for a, _ in got]), np.stack(grids))
+    assert np.array_equal(np.concatenate([b for _, b in got]), np.stack(grids[::-1]))
+    # a grid above the budget still forms a stack of one
+    big = [np.zeros((128, 128))] * 2
+    assert [a.shape for a, _ in stacks(big, big)] == [(1, 128, 128)] * 2
+    # matching stacks of a second sequence; any shape change ends a stack
+    small = [np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((4, 4))]
+    pairs = list(stacks(small, [np.zeros((8, 8)), np.zeros((6, 6)), np.zeros((4, 4))]))
+    assert [(a.shape, b.shape) for a, b in pairs] == [
+        ((1, 8, 8), (1, 8, 8)),
+        ((1, 8, 8), (1, 6, 6)),
+        ((1, 4, 4), (1, 4, 4)),
+    ]
 
 
 def test_csv_writers(tmp_path):
