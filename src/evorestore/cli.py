@@ -2,7 +2,7 @@
 
 Subcommands: degrade, train, eval, eos-trace, oracle, report.
 Exit codes: 0 success, 1 IO failure, 2 configuration error, 3 training
-divergence, 4 oracle check failure.
+divergence, 4 oracle check failure, 5 corrupt or inconsistent input.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .degrade import (
     write_dataset,
 )
 from .eos import eos_overhead_report, run_eos, write_summary_csv, write_trace_csv
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, NumericIntegrityError
 from .fmm import load_params, save_params
-from .losses import MsSsimConfig, WeightPair
+from .losses import WeightPair
 from .trainer import (
     evaluate,
     train,
@@ -196,16 +196,9 @@ def _cmd_eos_trace(args) -> int:
     val = dataset.restoration_pairs("val")
     if not val:
         raise ConfigError("dataset has no validation pairs")
-    ms_cfg = MsSsimConfig.for_shape(*val[0][0].shape)
     init = [WeightPair(app.trainer.init_alpha, app.trainer.init_beta)]
     winner, trace = run_eos(
-        params,
-        val,
-        app.trainer.eos,
-        init=init,
-        trigger_index=1,
-        eps=app.trainer.charbonnier_eps,
-        ms_cfg=ms_cfg,
+        params, val, app.trainer.eos, init, trigger_index=1, eps=app.trainer.charbonnier_eps
     )
     os.makedirs(args.out, exist_ok=True)
     write_trace_csv(os.path.join(args.out, "eos_trace.csv"), [trace])
@@ -419,6 +412,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except (NumericIntegrityError, DimensionError) as exc:
+        print(f"corrupt or inconsistent input: {exc}", file=sys.stderr)
+        return 5
 
 
 def console_main() -> None:

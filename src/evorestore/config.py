@@ -106,7 +106,6 @@ for _f, _p in [
     ("init_beta", float),
     ("eval_every", int),
     ("seed", int),
-    ("checkpoint_every", int),
     ("charbonnier_eps", float),
     ("mask_mode", str),
     ("spatial_mode", str),

@@ -46,6 +46,7 @@ __all__ = [
     "val_losses",
     "evaluate_fitness",
     "run_eos",
+    "search_weights",
     "eos_overhead_report",
     "write_trace_csv",
     "write_summary_csv",
@@ -140,6 +141,10 @@ class ValidationTable:
     fid: np.ndarray  # Charbonnier
     perc: np.ndarray  # 1 - MS-SSIM
 
+    def loss_means(self):
+        """Mean (fidelity, perceptual) over the pairs: the search's two inputs."""
+        return float(np.mean(self.fid)), float(np.mean(self.perc))
+
 
 def validate(
     params: FmmParams,
@@ -177,10 +182,9 @@ def val_losses(
     """Mean (fidelity, perceptual) over (degraded, clean) validation pairs.
 
     The restorations depend only on the frozen model, never on the candidate
-    weights, so one pass suffices for a whole search trigger.
+    weights, so these two means are all that search_weights needs.
     """
-    table = validate(params, val_set, eps, ms_cfg)
-    return float(np.mean(table.fid)), float(np.mean(table.perc))
+    return validate(params, val_set, eps, ms_cfg).loss_means()
 
 
 def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
@@ -218,11 +222,28 @@ def run_eos(
     eps: float = DEFAULT_CHARBONNIER_EPS,
     ms_cfg: MsSsimConfig | None = None,
 ):
-    """One full search trigger; returns (winner, EosTrace).
+    """One search trigger on a read-only model: val_losses, then search_weights."""
+    t0 = time.perf_counter()
+    means = val_losses(params, val_set, eps, ms_cfg)
+    val_ms = (time.perf_counter() - t0) * 1e3
+    return search_weights(*means, cfg, init, trigger_index=trigger_index, val_ms=val_ms)
+
+
+def search_weights(
+    mean_fid: float,
+    mean_perc: float,
+    cfg: EosConfig,
+    init=(),
+    *,
+    trigger_index: int = 0,
+    val_ms: float = 0.0,
+):
+    """Search the simplex against two validation means; returns (winner, EosTrace).
 
     `init` may hold up to `population` starting candidates (already on the
-    simplex); the remainder is topped up with seeded-uniform simplex draws.
-    The model is read-only throughout. Deterministic given cfg.seed.
+    simplex), topped up with seeded-uniform simplex draws; deterministic given
+    cfg.seed. `val_ms`, the time of the validation pass behind the means, is
+    added to the trace's eval and total times.
     """
     cfg.validate()
     init = list(init)
@@ -240,11 +261,7 @@ def run_eos(
         sample_simplex(rng) for _ in range(cfg.population - len(init))
     ]
 
-    eval_ms = 0.0
-    t0 = time.perf_counter()
-    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg)
-    eval_ms += (time.perf_counter() - t0) * 1e3
-
+    eval_ms = val_ms
     records: list[CandidateRecord] = []
     best_per_generation: list[float] = []
     order = None
@@ -289,7 +306,7 @@ def run_eos(
             f"best fitness decreased across generations: {best_per_generation}"
         )
 
-    total_ms = (time.perf_counter() - t_total) * 1e3
+    total_ms = val_ms + (time.perf_counter() - t_total) * 1e3
     trace = EosTrace(
         trigger_index=trigger_index,
         best_per_generation=best_per_generation,

@@ -61,14 +61,10 @@ SPATIAL_MODES = (SPATIAL_PER_PIXEL, SPATIAL_GAP_AFFINE)
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic; min(x, -x) is -|x| and keeps a NaN's sign bit."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def hermitian_flip(a: np.ndarray) -> np.ndarray:
@@ -299,18 +295,9 @@ def fmm_forward(x, p: FmmParams) -> FmmActivations:
     x_l, x_h = band_split(x, p)
     x_l_ref, u_l, smask = spectral_gate(x_l, p)
     x_h_ref, pmask, gap_mean = spatial_gate(x_h, p)
-    y = x_l_ref + x_h_ref
     return FmmActivations(
-        x_f=x,
-        x_l=x_l,
-        x_h=x_h,
-        u_l=u_l,
-        spectral_mask=smask,
-        x_l_refined=x_l_ref,
-        spatial_mask=pmask,
-        gap_mean=gap_mean,
-        x_h_refined=x_h_ref,
-        y_hat=y,
+        x_f=x, x_l=x_l, x_h=x_h, u_l=u_l, spectral_mask=smask, x_l_refined=x_l_ref,
+        spatial_mask=pmask, gap_mean=gap_mean, x_h_refined=x_h_ref, y_hat=x_l_ref + x_h_ref,
     )
 
 
@@ -421,32 +408,35 @@ def params_to_bytes(p: FmmParams) -> bytes:
 
 
 def params_from_bytes(data: bytes) -> FmmParams:
-    head, sep, _ = data.partition(b"DATA\n")
+    """Parse an FMMP payload; any malformed bytes raise NumericIntegrityError."""
+    try:
+        return _parse_fmmp(data)
+    except NumericIntegrityError:
+        raise
+    except (KeyError, IndexError, ValueError) as exc:  # incl. UnicodeDecodeError
+        raise NumericIntegrityError(f"malformed FMMP payload: {exc!r}") from exc
+
+
+def _parse_fmmp(data: bytes) -> FmmParams:
+    head, sep, payload = data.partition(b"DATA\n")
     if not sep:
         raise NumericIntegrityError("FMMP payload missing DATA marker")
     lines = head.decode("ascii").splitlines()
-    fields = {}
     if not lines or not lines[0].startswith("FMMP "):
         raise NumericIntegrityError("not an FMMP payload")
     version = int(lines[0].split()[1])
     if version != FMMP_VERSION:
         raise NumericIntegrityError(f"unsupported FMMP version {version}")
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    try:
-        mask_mode = fields["mask_mode"]
-        spatial_mode = fields["spatial_mode"]
-        ksize = int(fields["kernel"])
-        spec_shape = tuple(int(v) for v in fields["spectral"].split())
-        spat_shape = tuple(int(v) for v in fields["spatial"].split())
-    except (KeyError, ValueError) as exc:
-        raise NumericIntegrityError(f"malformed FMMP header: {exc}") from exc
+    fields = dict(line.partition(" ")[::2] for line in lines[1:])
+    mask_mode = fields["mask_mode"]
+    spatial_mode = fields["spatial_mode"]
+    ksize = int(fields["kernel"])
+    spec_shape = tuple(int(v) for v in fields["spectral"].split())
+    spat_shape = tuple(int(v) for v in fields["spatial"].split())
     if mask_mode not in MASK_MODES or spatial_mode not in SPATIAL_MODES:
         raise NumericIntegrityError(
             f"FMMP header names unknown modes {mask_mode!r}/{spatial_mode!r}"
         )
-    payload = data[len(head) + len(b"DATA\n"):]
     counts = [ksize * ksize, int(np.prod(spec_shape)), int(np.prod(spat_shape))]
     if len(payload) != 8 * sum(counts):
         raise NumericIntegrityError(

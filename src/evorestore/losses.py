@@ -8,8 +8,9 @@ the window operator exactly self-adjoint.
 
 Each loss takes one grid (H, W) or a stack (N, H, W). A grid gives a float
 value; a stack gives one value per grid, shaped (N,), and the gradient of
-each grid's value with respect to that grid. At each scale the windowed
-moments of a whole stack go through one real FFT and its inverse.
+each grid's value with respect to that grid. At each scale the four windowed
+moments of a whole stack (x, y, x^2 + y^2, xy) go through one real FFT and
+its inverse.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class WeightPair:
 
     alpha: float
     beta: float
-
-    def as_tuple(self):
-        return (self.alpha, self.beta)
 
 
 @dataclass
@@ -186,12 +184,14 @@ def _upsample_adjoint(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _ssim_parts(x, y, t, c1, c2, with_luminance):
-    """Windowed SSIM maps of two stacks; the five moments share one transform."""
-    mx, my, exx, eyy, exy = _wfilt(np.stack([x, y, x * x, y * y, x * y]), t)
-    sxx = exx - mx * mx
-    syy = eyy - my * my
+    """Windowed SSIM maps of two stacks; the four moments share one transform.
+
+    Only q = sxx + syy + c2 needs the variances, and the window is linear, so
+    x^2 + y^2 is filtered once in place of x^2 and y^2.
+    """
+    mx, my, ess, exy = _wfilt(np.stack([x, y, x * x + y * y, x * y]), t)
     sxy = exy - mx * my
-    q = sxx + syy + c2
+    q = ess - mx * mx - my * my + c2
     cs = (2.0 * sxy + c2) / q
     parts = {"x": x, "y": y, "mx": mx, "my": my, "q": q, "cs": cs}
     if with_luminance:

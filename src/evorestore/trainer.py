@@ -8,6 +8,8 @@ Schedule semantics (all 1-based iteration indices):
   final iteration), the model is frozen and the weight search runs; its winner
   is the active weight pair for iterations i+1 .. i+T. Trigger r uses EOS seed
   `eos.seed + r`, warm-started from the currently active pair;
+* an iteration that evaluates, searches or both runs one validation pass,
+  and the eval point and the search both read it;
 * a combined batch loss above `divergence_limit` aborts with DivergenceError
   naming the iteration.
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from .degrade import PSNR_CAP_DB, PairedDataset
 from .errors import ConfigError, DivergenceError
-from .eos import EosConfig, EosTrace, run_eos, validate
+from .eos import EosConfig, EosTrace, search_weights, validate
 from .fmm import (
     FmmParams,
     apply_update,
@@ -52,7 +54,6 @@ class TrainConfig:
     init_beta: float = 0.2
     eval_every: int = 50
     seed: int = 0
-    checkpoint_every: int = 0  # 0 = final checkpoint only
     charbonnier_eps: float = DEFAULT_CHARBONNIER_EPS
     # model block
     mask_mode: str = "per_frequency"
@@ -74,8 +75,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 0:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.kernel_size < 1 or self.kernel_size % 2 != 1:
             raise ConfigError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.n_bins < 2:
@@ -158,6 +157,8 @@ def train(
         raise ConfigError("dataset has no training pairs")
     h, w = _dataset_shape(dataset)
     if params is None:
+        if cfg.kernel_size > min(h, w):
+            raise ConfigError(f"kernel_size {cfg.kernel_size} exceeds the {h}x{w} grids")
         params = default_params(
             h,
             w,
@@ -204,43 +205,37 @@ def train(
             IterationRow(it, fid_m, perc_m, comb_m, active.alpha, active.beta, lr)
         )
 
-        if cfg.eval_every and it % cfg.eval_every == 0 and val_set:
-            trace.evals.append(
-                _eval_point(it, params, val_set, cfg.charbonnier_eps, ms_cfg)
-            )
-
-        if (
-            val_set
-            and it % cfg.eos.trigger_interval == 0
-            and it < cfg.iterations
-        ):
-            trigger += 1
-            eos_cfg = replace(cfg.eos, seed=cfg.eos.seed + trigger)
-            winner, eos_trace = run_eos(
-                params,
-                val_set,
-                eos_cfg,
-                init=[active],
-                trigger_index=trigger,
-                eps=cfg.charbonnier_eps,
-                ms_cfg=ms_cfg,
-            )
-            active = winner
-            trace.eos_traces.append(eos_trace)
-            trace.weight_timeline.append((it + 1, active.alpha, active.beta))
+        do_eval = cfg.eval_every > 0 and it % cfg.eval_every == 0
+        do_search = it % cfg.eos.trigger_interval == 0 and it < cfg.iterations
+        if val_set and (do_eval or do_search):
+            # one validation pass serves the eval point and the search trigger
+            t0 = time.perf_counter()
+            table = validate(params, val_set, cfg.charbonnier_eps, ms_cfg)
+            val_ms = (time.perf_counter() - t0) * 1e3
+            if do_eval:
+                trace.evals.append(_eval_point(it, table))
+            if do_search:
+                trigger += 1
+                active, eos_trace = search_weights(
+                    *table.loss_means(),
+                    replace(cfg.eos, seed=cfg.eos.seed + trigger),
+                    init=[active],
+                    trigger_index=trigger,
+                    val_ms=val_ms,
+                )
+                trace.eos_traces.append(eos_trace)
+                trace.weight_timeline.append((it + 1, active.alpha, active.beta))
 
     trace.wall_ms = (time.perf_counter() - t_start) * 1e3
     return params, trace
 
 
-def _eval_point(it, params, val_set, eps, ms_cfg) -> EvalPoint:
-    t = validate(params, val_set, eps, ms_cfg)
+def _eval_point(it, t) -> EvalPoint:
     return EvalPoint(
         it,
         float(np.mean(np.minimum(t.psnr, PSNR_CAP_DB))),
         float(np.mean(t.ssim)),
-        float(np.mean(t.fid)),
-        float(np.mean(t.perc)),
+        *t.loss_means(),
     )
 
 
@@ -274,8 +269,7 @@ def evaluate(
     rows = [dataset.pairs[i] for i in idx[split]]
     if not rows:
         raise ConfigError(f"split {split!r} is empty")
-    ms_cfg = MsSsimConfig.for_shape(*rows[0].clean.shape)
-    t = validate(params, [(r.degraded, r.clean) for r in rows], eps, ms_cfg)
+    t = validate(params, [(r.degraded, r.clean) for r in rows], eps)
     kinds = np.array([r.kind for r in rows])
 
     def reduce(kind, sel):

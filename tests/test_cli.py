@@ -252,12 +252,53 @@ def test_oracle_failure_exit_code(monkeypatch):
     assert cli.main(["oracle"]) == 4
 
 
-def test_exit_codes():
+def test_exit_codes(run_dirs, tmp_path):
     # missing images directory surfaces as the I/O exit code
     assert cli.main(["degrade", "--images", "/no/such/dir", "--set", SPECS]) == 1
     assert cli.main(["train", "--set", "bogus.key=1"]) == 2
     # an even lowpass kernel is a config error, not a traceback from the operator
     assert cli.main(["train", "--set", "trainer.kernel_size=4"]) == 2
+    # so is a kernel wider than the dataset's 16 px grids
+    data, _ = run_dirs
+    assert cli.main(["train", "--manifest", str(data / "manifest.txt"), *TINY_TRAIN,
+                     "--set", "trainer.kernel_size=31", "-o", str(tmp_path)]) == 2
+    # checkpoint_every was never acted on; it is no longer a key
+    assert cli.main(["train", "--set", "trainer.checkpoint_every=1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda blob: blob.replace(b"DATA\n", b"DATX\n", 1),  # no DATA marker
+        lambda blob: blob.replace(b"FMMP 1", b"FMMP x", 1),  # bad version
+        lambda blob: blob.replace(b"mask_mode", "m\u00e4sk_mode".encode(), 1),  # not ASCII
+    ],
+    ids=["no-data-marker", "bad-version", "non-ascii-header"],
+)
+def test_corrupt_checkpoint_exit_code(run_dirs, tmp_path, capsys, edit):
+    data, out = run_dirs
+    bad = tmp_path / "bad.fmmp"
+    bad.write_bytes(edit((out / "final.fmmp").read_bytes()))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--manifest", str(data / "manifest.txt"),
+                   "--checkpoint", str(bad), "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("corrupt or inconsistent input: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_checkpoint_grid_mismatch_exit_code(run_dirs, tmp_path, capsys):
+    # a per-frequency model trained on 16 px grids cannot restore 24 px grids
+    _, out = run_dirs
+    data = tmp_path / "data24"
+    assert cli.main(["degrade", "--synthetic", "4", "--size", "24", "--set", SPECS,
+                     "-o", str(data)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--manifest", str(data / "manifest.txt"),
+                   "--checkpoint", str(out / "final.fmmp"), "-o", str(tmp_path)])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("corrupt or inconsistent input: ")
 
 
 def test_divergence_exit_code(run_dirs, tmp_path):

@@ -16,6 +16,7 @@ from evorestore.eos import (
     project_simplex,
     run_eos,
     sample_simplex,
+    search_weights,
     val_losses,
     validate,
     write_summary_csv,
@@ -223,6 +224,22 @@ def test_run_eos_deterministic():
     r1 = [(r.generation, r.candidate, r.alpha, r.beta, r.fitness) for r in t1.records]
     r2 = [(r.generation, r.candidate, r.alpha, r.beta, r.fitness) for r in t2.records]
     assert r1 == r2
+
+
+def test_search_weights_on_val_losses_matches_run_eos():
+    params = identity_model()
+    pairs = rigged_pairs("structural") + rigged_pairs("offset")
+    cfg = EosConfig(population=5, generations=3, elites=2, mutation_sigma=0.4, seed=11)
+    init = [WeightPair(0.3, 0.7)]
+    w1, t1 = run_eos(params, pairs, cfg, init, trigger_index=2)
+    w2, t2 = search_weights(*val_losses(params, pairs), cfg, init, trigger_index=2)
+    assert w1 == w2
+    assert t1.records == t2.records
+    assert t1.best_per_generation == t2.best_per_generation
+    assert (t1.trigger_index, t1.evaluations) == (t2.trigger_index, t2.evaluations)
+    # the validation pass's time is charged to the trigger's eval and total times
+    _, t3 = search_weights(0.1, 0.2, cfg, init, val_ms=1e6)
+    assert 1e6 <= t3.eval_wall_ms <= t3.total_wall_ms
 
 
 def test_trace_bookkeeping_and_winner_flag():

@@ -276,6 +276,32 @@ def test_params_from_bytes_rejects_malformed():
         fmm.params_from_bytes(blob[:-8])  # truncated payload
     with pytest.raises(NumericIntegrityError):
         fmm.params_from_bytes(blob.replace(b"FMMP 1", b"FMMP 9", 1))
+    with pytest.raises(NumericIntegrityError):
+        fmm.params_from_bytes(blob.replace(b"FMMP 1", b"FMMP x", 1))  # version not an int
+    with pytest.raises(NumericIntegrityError):
+        fmm.params_from_bytes(b"FMMP\xff 1\n" + blob[7:])  # header not ASCII
+
+
+def _two_branch_sigmoid(x):
+    """The former boolean-mask formula, kept as the bit-exact reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    nan = np.float64(np.nan)
+    special = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 700.0, -700.0, 745.0, -745.0,
+               5e-324, -5e-324]
+    x = np.concatenate([special, np.random.default_rng(3).normal(0.0, 30.0, 4000)])
+    assert fmm.sigmoid(x).tobytes() == _two_branch_sigmoid(x).tobytes()
+    grid = np.random.default_rng(4).normal(0.0, 3.0, (2, 16, 16))
+    assert fmm.sigmoid(grid).tobytes() == _two_branch_sigmoid(grid).tobytes()
+    assert fmm.sigmoid(grid).shape == grid.shape
 
 
 def test_validate_params_rejects_shape_mismatch():

@@ -155,6 +155,58 @@ def test_stack_matches_per_image(h, w):
         assert np.max(np.abs(g_ms[n] - gm)) <= 1e-12
 
 
+def _window_spatial(a, size=11, sigma=1.5):
+    """Circular Gaussian-window mean of a grid, summed tap by tap in the pixel domain."""
+    c = size // 2
+    g = np.exp(-((np.arange(size) - c) ** 2) / (2.0 * sigma * sigma))
+    k = np.outer(g, g) / np.outer(g, g).sum()
+    out = np.zeros_like(a)
+    for i in range(size):
+        for j in range(size):
+            out += k[i, j] * np.roll(a, (c - i, c - j), axis=(0, 1))
+    return out
+
+
+def _reference_maps(x, y, c1=0.01**2, c2=0.03**2):
+    """(luminance, contrast-structure) maps from the five moments, each filtered alone."""
+    mx, my = _window_spatial(x), _window_spatial(y)
+    sxx = _window_spatial(x * x) - mx * mx
+    syy = _window_spatial(y * y) - my * my
+    sxy = _window_spatial(x * y) - mx * my
+    return (2 * mx * my + c1) / (mx * mx + my * my + c1), (2 * sxy + c2) / (sxx + syy + c2)
+
+
+def _reference_ms_ssim(x, y, weights):
+    w = np.array(weights) / np.sum(weights)
+    value = 1.0
+    for j in range(len(w)):
+        lum, cs = _reference_maps(x, y)
+        value *= max(np.mean(cs), 1e-8) ** w[j]
+        if j == len(w) - 1:
+            value *= max(np.mean(lum), 1e-8) ** w[j]
+        else:
+            h, wd = x.shape[0] // 2 * 2, x.shape[1] // 2 * 2
+            x = x[:h, :wd].reshape(h // 2, 2, wd // 2, 2).mean(axis=(1, 3))
+            y = y[:h, :wd].reshape(h // 2, 2, wd // 2, 2).mean(axis=(1, 3))
+    return value
+
+
+def test_ssim_and_ms_ssim_match_a_spatial_five_moment_reference():
+    # 24x26 runs 2 MS-SSIM scales: 24x26 and 12x13
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0, 1, (24, 26))
+    y = np.clip(0.8 * x + 0.1 + rng.normal(0, 0.08, x.shape), 0, 1)
+    lum, cs = _reference_maps(x, y)
+    assert abs(ssim_index(x, y) - np.mean(lum * cs)) <= 1e-12
+    assert MsSsimConfig.for_shape(24, 26).scales == 2
+    ref = _reference_ms_ssim(x, y, (0.0448, 0.2856))
+    assert abs(ms_ssim_value(x, y) - ref) <= 1e-12
+    assert abs(ms_ssim(x, y)[0] - ref) <= 1e-12
+    ss, ms = ssim_and_ms_ssim(np.stack([x, y]), np.stack([y, x]))
+    assert np.max(np.abs(ss - np.mean(lum * cs))) <= 1e-12
+    assert np.max(np.abs(ms - ref)) <= 1e-12
+
+
 def test_combined_loss_is_exact_affine_mix():
     rng = np.random.default_rng(6)
     pred = rng.uniform(0, 1, (48, 48))

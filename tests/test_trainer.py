@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from evorestore import fmm
+from evorestore import eos, fmm, trainer
 from evorestore.degrade import DegradationSpec, SplitConfig, build_dataset, synthetic_clean_images
-from evorestore.eos import EosConfig
+from evorestore.eos import EosConfig, validate
 from evorestore.errors import ConfigError, DivergenceError
 from evorestore.trainer import (
     EVAL_HEADER,
@@ -140,6 +140,36 @@ def test_config_validation():
             small_config(**bad).validate()
     with pytest.raises(ConfigError):
         train(small_dataset(), small_config(mask_mode="vertical"))
+    with pytest.raises(ConfigError):
+        train(small_dataset(), small_config(kernel_size=25))  # wider than the 24 px grids
+
+
+def test_one_validation_pass_per_eval_or_trigger_iteration(monkeypatch):
+    calls = []
+
+    def counting_validate(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    # eos.validate too, so a search that ran its own pass would be counted
+    monkeypatch.setattr(trainer, "validate", counting_validate)
+    monkeypatch.setattr(eos, "validate", counting_validate)
+    ds = small_dataset()
+    search = EosConfig(4, 2, 1, 0.3, 5, 0)
+    # evals at 5, 10, 15, 20; triggers at 5, 10, 15 read the same passes
+    params, trace = train(ds, small_config(iterations=20, eval_every=5, eos=search))
+    assert len(calls) == 4
+    assert len(trace.evals) == 4 and len(trace.eos_traces) == 3
+    for point, t in zip(trace.evals, trace.eos_traces):
+        for r in t.records:
+            assert r.fitness == -(r.alpha * point.loss_fid + r.beta * point.loss_perc)
+        assert 0.0 < t.eval_wall_ms <= t.total_wall_ms
+    calls.clear()
+    alone, alone_trace = train(ds, small_config(iterations=20, eval_every=0, eos=search))
+    assert len(calls) == 3
+    # sharing the pass with the evals changes nothing about the training
+    assert fmm.params_to_bytes(alone) == fmm.params_to_bytes(params)
+    assert alone_trace.weight_timeline == trace.weight_timeline
 
 
 def test_evaluate_table():
