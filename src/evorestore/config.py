@@ -7,6 +7,7 @@ file and overrides, and they mirror the typed config dataclasses one-to-one.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
@@ -81,6 +82,8 @@ def parse_degradation_specs(text: str) -> tuple:
             if name not in _SPEC_PARAMS[kind]:
                 raise ConfigError(f"unknown parameter {name!r} for kind {kind!r}")
             kwargs[name] = _SPEC_PARAMS[kind][name](raw.strip())
+            if not math.isfinite(kwargs[name]):
+                raise ConfigError(f"{kind} {name} must be finite, got {raw.strip()!r}")
         spec = DegradationSpec(kind=kind, **kwargs)
         spec.validate()
         specs.append(spec)
@@ -157,8 +160,12 @@ def load_config(path: str | None, overrides=()) -> AppConfig:
     """Read optional config file, then apply `key=value` override strings."""
     raw: dict = {}
     if path is not None:
-        with open(path) as fh:
-            raw.update(parse_assignments(fh.readlines(), path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config file is not UTF-8 text") from exc
+        raw.update(parse_assignments(lines, path))
     for i, ov in enumerate(overrides):
         if "=" not in ov:
             raise ConfigError(f"override #{i + 1} must be key=value, got {ov!r}")
@@ -173,6 +180,8 @@ def load_config(path: str | None, overrides=()) -> AppConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
+        if parser is float and not math.isfinite(sections[section][name]):
+            raise ConfigError(f"{key} must be finite, got {text!r}")
 
     eos_cfg = EosConfig(**sections["eos"])
     trainer_cfg = replace(TrainConfig(**sections["trainer"]), eos=eos_cfg)

@@ -110,7 +110,7 @@ def _blur_kernel_for(sigma: float, h: int, w: int) -> np.ndarray:
 def apply_degradation(clean, spec: DegradationSpec) -> np.ndarray:
     """Degrade a clean [0,1] grid; deterministic in spec.seed, result clamped."""
     clean = as_grid(clean)
-    if clean.min() < 0.0 or clean.max() > 1.0:
+    if not (clean.min() >= 0.0 and clean.max() <= 1.0):  # NaN fails both
         raise NumericIntegrityError(
             f"clean image must lie in [0,1], got [{clean.min():.4g}, {clean.max():.4g}]"
         )
@@ -236,15 +236,19 @@ def read_pgm(path) -> np.ndarray:
         i = j
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise NumericIntegrityError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError as exc:
+        raise NumericIntegrityError(f"{path}: bad PGM header {tokens[1:]!r}") from exc
     if not (w > 0 and h > 0 and 0 < maxval < 65536):
         raise NumericIntegrityError(f"{path}: bad PGM header {w}x{h} maxval {maxval}")
     i += 1  # single whitespace byte after maxval
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    count = w * h
-    raw = np.frombuffer(data, dtype=dtype, count=count, offset=i)
-    if raw.size != count:
+    if len(data) - i < w * h * dtype.itemsize:
         raise NumericIntegrityError(f"{path}: truncated PGM payload")
+    raw = np.frombuffer(data, dtype=dtype, count=w * h, offset=i)
+    if raw.max() > maxval:
+        raise NumericIntegrityError(f"{path}: PGM sample {raw.max()} above maxval {maxval}")
     return raw.reshape(h, w).astype(np.float64) / maxval
 
 
@@ -401,8 +405,11 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
 def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
     """Rebuild a PairedDataset from a manifest; splits recomputed from `split`."""
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise NumericIntegrityError(f"{manifest_path}: manifest is not UTF-8 text") from exc
     if not lines or lines[0] != ",".join(MANIFEST_HEADER):
         raise NumericIntegrityError(f"{manifest_path}: malformed manifest header")
     rows = []
@@ -411,11 +418,19 @@ def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
         if len(parts) != 5:
             raise NumericIntegrityError(f"{manifest_path}: bad manifest row {ln!r}")
         idx, kind, seed, cpath, dpath = parts
+        try:
+            idx, seed = int(idx), int(seed)
+        except ValueError as exc:
+            raise NumericIntegrityError(
+                f"{manifest_path}: manifest row {ln!r}: index and seed must be integers"
+            ) from exc
+        if "\0" in cpath + dpath:
+            raise NumericIntegrityError(f"{manifest_path}: NUL byte in manifest row {ln!r}")
         rows.append(
             PairRow(
-                index=int(idx),
+                index=idx,
                 kind=kind,
-                seed=int(seed),
+                seed=seed,
                 clean=read_image(os.path.join(base, cpath)),
                 degraded=read_image(os.path.join(base, dpath)),
             )

@@ -35,6 +35,7 @@ Spatial mask parameterizations:
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,7 +438,13 @@ def _parse_fmmp(data: bytes) -> FmmParams:
         raise NumericIntegrityError(
             f"FMMP header names unknown modes {mask_mode!r}/{spatial_mode!r}"
         )
-    counts = [ksize * ksize, int(np.prod(spec_shape)), int(np.prod(spat_shape))]
+    if not (ksize >= 1 and ksize % 2 == 1) or not all(
+        1 <= len(s) <= 2 and min(s) >= 1 for s in (spec_shape, spat_shape)
+    ):
+        raise NumericIntegrityError(
+            f"FMMP header has bad block sizes {ksize}, {spec_shape}, {spat_shape}"
+        )
+    counts = [ksize * ksize, math.prod(spec_shape), math.prod(spat_shape)]
     if len(payload) != 8 * sum(counts):
         raise NumericIntegrityError(
             f"FMMP payload is {len(payload)} bytes, expected {8 * sum(counts)}"
@@ -451,6 +458,8 @@ def _parse_fmmp(data: bytes) -> FmmParams:
             .astype(np.float64)
         )
         off += count * 8
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise NumericIntegrityError("FMMP payload holds NaN or infinite values")
     return FmmParams(blocks[0], mask_mode, blocks[1], spatial_mode, blocks[2])
 
 

@@ -204,4 +204,7 @@ def read_fgrid(path) -> np.ndarray:
         raise NumericIntegrityError(
             f"{path}: FGRID payload is {len(payload)} bytes, expected {expect}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(h, w).astype(np.float64)
+    x = np.frombuffer(payload, dtype="<f8").reshape(h, w).astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise NumericIntegrityError(f"{path}: FGRID holds NaN or infinite pixels")
+    return x

@@ -1,5 +1,7 @@
 """Command-line interface and config parsing, exercised in-process via main()."""
 
+import shutil
+
 import pytest
 
 from evorestore import cli, oracles
@@ -299,6 +301,72 @@ def test_checkpoint_grid_mismatch_exit_code(run_dirs, tmp_path, capsys):
                    "--checkpoint", str(out / "final.fmmp"), "-o", str(tmp_path)])
     assert rc == 5
     assert capsys.readouterr().err.startswith("corrupt or inconsistent input: ")
+
+
+def _assert_exit_5(rc, capsys, *names):
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("corrupt or inconsistent input: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_degraded_grid_exit_code(run_dirs, tmp_path, capsys, value):
+    # before: NaN reached training and surfaced as a divergence (exit 3)
+    from evorestore.grids import read_fgrid, write_fgrid
+
+    data, _ = run_dirs
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    grid_path = copy / "degraded" / "00001.fgrid"
+    grid = read_fgrid(grid_path)
+    grid[3, 5] = value
+    write_fgrid(grid_path, grid)
+    capsys.readouterr()
+    rc = cli.main(["train", "--manifest", str(copy / "manifest.txt"), *TINY_TRAIN,
+                   "-o", str(tmp_path / "run")])
+    _assert_exit_5(rc, capsys, "00001.fgrid")
+
+
+def test_non_finite_clean_grid_exit_code(tmp_path, capsys):
+    # before: NaN passed apply_degradation's [0, 1] check
+    import numpy as np
+
+    from evorestore.degrade import synthetic_clean_images
+    from evorestore.grids import write_fgrid
+
+    src = tmp_path / "imgs"
+    src.mkdir()
+    grid = synthetic_clean_images(1, 16, 16, seed=3)[0]
+    grid[0, 0] = np.nan
+    write_fgrid(src / "a.fgrid", grid)
+    rc = cli.main(["degrade", "--images", str(src), "--set", SPECS, "-o", str(tmp_path / "o")])
+    _assert_exit_5(rc, capsys, "a.fgrid")
+
+
+def test_non_integer_pgm_header_exit_code(tmp_path, capsys):
+    src = tmp_path / "imgs"
+    src.mkdir()
+    (src / "a.pgm").write_bytes(b"P5\nab 4\n255\n" + bytes(16))
+    rc = cli.main(["degrade", "--images", str(src), "--set", SPECS, "-o", str(tmp_path / "o")])
+    _assert_exit_5(rc, capsys, "a.pgm")
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["index", "seed"])
+def test_non_integer_manifest_field_exit_code(run_dirs, tmp_path, capsys, field):
+    data, _ = run_dirs
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    lines = (copy / "manifest.txt").read_text().splitlines()
+    row = lines[2].split(",")
+    row[field] = "x"
+    lines[2] = ",".join(row)
+    (copy / "manifest.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--manifest", str(copy / "manifest.txt"), *TINY_TRAIN,
+                   "-o", str(tmp_path / "run")])
+    _assert_exit_5(rc, capsys, "manifest.txt", lines[2])
 
 
 def test_divergence_exit_code(run_dirs, tmp_path):

@@ -1,0 +1,287 @@
+"""Property tests for the on-disk formats: any bytes parse or raise a package error.
+
+Each file parser (FMMP checkpoints, FGRID and PGM images, dataset manifests)
+gets three kinds of input: arbitrary bytes, a valid file with random edits,
+and a header assembled from plausible and arbitrary tokens. A parse must
+succeed with a well-formed result or raise ConfigError, DimensionError or
+NumericIntegrityError, which the CLI maps to exit codes 2 and 5. Config files
+(arbitrary bytes) and `--set` overrides (known or arbitrary keys, arbitrary
+values) must load with finite float values or raise ConfigError.
+"""
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
+
+from evorestore import fmm
+from evorestore.config import documented_keys, load_config
+from evorestore.degrade import SplitConfig, load_dataset, read_pgm, write_pgm
+from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
+from evorestore.grids import read_fgrid, write_fgrid
+
+PACKAGE_ERRORS = (ConfigError, DimensionError, NumericIntegrityError)
+
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+# small numbers and non-numbers for header fields
+TOKENS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(["", "x", "1.5", "0x10", "1_0", "9" * 30, "nan", "-0", "٣"]),
+    st.text(max_size=6),
+)
+
+
+def _edited(blob: bytes):
+    """A valid blob with random byte overwrites (most edits), insertions and truncations."""
+
+    def apply(edits):
+        data = bytearray(blob)
+        for kind, pos, byte in edits:
+            pos %= len(data) + 1
+            if kind < 4 and pos < len(data):
+                data[pos] = byte
+            elif kind == 4:
+                data.insert(pos, byte)
+            else:
+                del data[pos:]
+        return bytes(data)
+
+    edit = st.tuples(st.integers(0, 5), st.integers(0, 1 << 16), st.integers(0, 255))
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def _expect_parse_or_package_error(parse, data):
+    try:
+        out = parse(data)
+    except PACKAGE_ERRORS as exc:
+        event(type(exc).__name__)
+        return None
+    event("parsed")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# FMMP
+# ---------------------------------------------------------------------------
+
+_FMMP = fmm.params_to_bytes(fmm.default_params(6, 6, mask_mode="radial_bins", n_bins=4))
+
+
+def _fmmp_headers():
+    def build(version, mask, spatial, kernel, spec, spat, payload):
+        head = (
+            f"FMMP {version}\nmask_mode {mask}\nspatial_mode {spatial}\n"
+            f"kernel {kernel}\nspectral {spec}\nspatial {spat}\nDATA\n"
+        )
+        return head.encode("utf-8") + payload
+
+    return st.builds(
+        build,
+        st.one_of(st.just("1"), TOKENS),
+        st.sampled_from(["per_frequency", "radial_bins", "bogus"]),
+        st.sampled_from(["per_pixel", "gap_affine", ""]),
+        TOKENS,
+        st.lists(TOKENS, max_size=3).map(" ".join),
+        st.lists(TOKENS, max_size=3).map(" ".join),
+        st.binary(max_size=96),
+    )
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=256), _edited(_FMMP), _fmmp_headers()))
+def test_params_from_bytes_parses_or_raises_a_package_error(data):
+    p = _expect_parse_or_package_error(fmm.params_from_bytes, data)
+    if p is not None:
+        for block in (p.lowpass, p.spectral_logits, p.spatial_logits):
+            assert block.dtype == np.float64 and np.all(np.isfinite(block))
+        again = fmm.params_from_bytes(fmm.params_to_bytes(p))
+        assert np.array_equal(again.spectral_logits, p.spectral_logits)
+
+
+def test_params_from_bytes_rejects_non_finite_values():
+    p = fmm.default_params(6, 6)
+    p.spatial_logits[2, 3] = np.nan
+    with pytest.raises(NumericIntegrityError):
+        fmm.params_from_bytes(fmm.params_to_bytes(p))
+
+
+# ---------------------------------------------------------------------------
+# FGRID and PGM
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats")
+
+
+def _grid():
+    return np.linspace(0.0, 1.0, 12).reshape(3, 4)
+
+
+def _fgrid_headers():
+    def build(a, b, payload):
+        return f"FGRID {a} {b}\n".encode("utf-8") + payload
+
+    return st.builds(build, TOKENS, TOKENS, st.binary(max_size=128))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_read_fgrid_parses_or_raises_a_package_error(scratch, data):
+    valid = scratch / "valid.fgrid"
+    if not valid.exists():
+        write_fgrid(valid, _grid())
+    blob = data.draw(
+        st.one_of(st.binary(max_size=256), _edited(valid.read_bytes()), _fgrid_headers())
+    )
+    path = scratch / "case.fgrid"
+    path.write_bytes(blob)
+    x = _expect_parse_or_package_error(read_fgrid, path)
+    if x is not None:
+        assert x.ndim == 2 and x.dtype == np.float64 and np.all(np.isfinite(x))
+
+
+def _pgm_headers():
+    def build(magic, w, h, maxval, comment, payload):
+        return f"{magic}\n{comment}{w} {h}\n{maxval}\n".encode("utf-8") + payload
+
+    return st.builds(
+        build,
+        st.sampled_from(["P5", "P2", "P6"]),
+        TOKENS,
+        TOKENS,
+        st.one_of(st.sampled_from(["255", "65535", "65536", "0"]), TOKENS),
+        st.sampled_from(["", "# a comment\n", "#\n"]),
+        st.binary(max_size=64),
+    )
+
+
+@PROPERTY
+@given(data=st.data())
+def test_read_pgm_parses_or_raises_a_package_error(scratch, data):
+    blobs = []
+    for maxval in (255, 65535):
+        valid = scratch / f"valid{maxval}.pgm"
+        if not valid.exists():
+            write_pgm(valid, _grid(), maxval=maxval)
+        blobs.append(valid.read_bytes())
+    blob = data.draw(
+        st.one_of(
+            st.binary(max_size=256), _edited(blobs[0]), _edited(blobs[1]), _pgm_headers()
+        )
+    )
+    path = scratch / "case.pgm"
+    path.write_bytes(blob)
+    x = _expect_parse_or_package_error(read_pgm, path)
+    if x is not None:
+        assert x.ndim == 2 and 0.0 <= x.min() and x.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Manifest
+# ---------------------------------------------------------------------------
+
+HEADER = "index,kind,seed,clean_path,degraded_path"
+
+
+def _manifests():
+    field = st.one_of(TOKENS, st.sampled_from(["noise", "blur"]))
+    number = st.one_of(*[st.integers(0, 9).map(str)] * 4, TOKENS)
+    path = st.one_of(
+        *[st.sampled_from(["a.fgrid", "b.fgrid", "c.pgm"])] * 6,
+        st.sampled_from(["bad.fgrid", "nan.fgrid", "a\0.fgrid"]),
+    )
+    row = st.builds(
+        lambda idx, kind, seed, c, d, extra: ",".join([idx, kind, seed, c, d] + extra),
+        number,
+        field,
+        number,
+        path,
+        path,
+        st.lists(TOKENS, max_size=1),
+    )
+    text = st.builds(
+        lambda head, rows: "\n".join([head] + rows) + "\n",
+        st.sampled_from([HEADER] * 4 + [HEADER + ",x", ""]),
+        st.lists(row, max_size=4),
+    )
+    return st.one_of(st.binary(max_size=256), text.map(lambda t: t.encode("utf-8")))
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    write_fgrid(root / "a.fgrid", _grid())
+    write_fgrid(root / "b.fgrid", _grid()[::-1].copy())
+    write_pgm(root / "c.pgm", _grid())
+    (root / "bad.fgrid").write_bytes(b"FGRID 3 4\n" + bytes(7))
+    nan = _grid()
+    nan[1, 1] = np.nan
+    with open(root / "nan.fgrid", "wb") as fh:
+        fh.write(b"FGRID 3 4\n" + nan.astype("<f8").tobytes())
+    return root
+
+
+@PROPERTY
+@given(blob=_manifests())
+def test_load_dataset_parses_or_raises_a_package_error(manifest_dir, blob):
+    path = manifest_dir / "manifest.txt"
+    path.write_bytes(blob)
+    ds = _expect_parse_or_package_error(lambda p: load_dataset(p, SplitConfig()), path)
+    if ds is not None:
+        assert sorted(ds.train_idx + ds.val_idx + ds.test_idx) == list(range(len(ds.pairs)))
+        for row in ds.pairs:
+            assert isinstance(row.index, int) and isinstance(row.seed, int)
+            assert np.all(np.isfinite(row.clean)) and np.all(np.isfinite(row.degraded))
+
+
+# ---------------------------------------------------------------------------
+# Config file and --set overrides
+# ---------------------------------------------------------------------------
+
+
+def _assignments():
+    key = st.one_of(st.sampled_from([k for k, _ in documented_keys()]), TOKENS)
+    value = st.one_of(
+        TOKENS,
+        st.sampled_from(["inf", "-inf", "1e999", "none", "lowpass,spectral"]),
+        st.builds(
+            lambda kind, name, v: f"{kind}({name}={v})",
+            st.sampled_from(["noise", "blur", "rain"]),
+            st.sampled_from(["sigma", "kernel_sigma", "count", "seed"]),
+            st.one_of(TOKENS, st.sampled_from(["0.5", "inf", "nan"])),
+        ),
+    )
+    sep = st.sampled_from(["=", " = ", ""])
+    return st.builds(lambda k, s, v: f"{k}{s}{v}", key, sep, value)
+
+
+@PROPERTY
+@given(overrides=st.lists(_assignments(), max_size=3), blob=st.binary(max_size=128))
+@example(overrides=["trainer.learning_rate=inf"], blob=b"\x80")
+@example(overrides=["eos.mutation_sigma=nan"], blob=b"trainer.init_alpha = nan\n")
+@example(overrides=["degradation.specs=blur(kernel_sigma=inf)"], blob=b"")
+def test_load_config_parses_or_raises_a_config_error(scratch, overrides, blob):
+    path = scratch / "case.cfg"
+    path.write_bytes(blob)
+    for args in ((None, overrides), (str(path), ())):
+        try:
+            app = load_config(*args)
+        except ConfigError as exc:
+            event(type(exc).__name__)
+            continue
+        event("parsed")
+        for cfg in (app.trainer, app.trainer.eos, app.dataset, *app.degradations):
+            for f in fields(cfg):
+                value = getattr(cfg, f.name)
+                assert not isinstance(value, float) or math.isfinite(value), f.name

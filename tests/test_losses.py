@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from evorestore.errors import ConfigError
+from evorestore.grids import gaussian_kernel, transfer
 from evorestore.losses import (
     DEFAULT_CHARBONNIER_EPS,
     MsSsimConfig,
     WeightPair,
+    _wfilt,
+    _window,
     charbonnier,
     combined_loss,
     ms_ssim,
@@ -125,6 +128,44 @@ def test_ms_ssim_gradient_finite_difference():
     assert max(rel_errs) < 1e-3
 
 
+def test_ms_ssim_gradient_finite_difference_non_square():
+    # 24x26 runs 2 scales (24x26, 12x13): the row and column windows differ in
+    # size at each, so a swapped ch/cw anywhere in the backward pass would show
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0.2, 0.8, (24, 26))
+    y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1)
+    cfg = MsSsimConfig.for_shape(24, 26)
+    assert cfg.scales == 2
+    _, grad = ms_ssim(x, y, cfg)
+    step = 1e-5
+    for idx in [(0, 0), (0, 25), (23, 0), (11, 13), (6, 20), (23, 25)]:
+        xp = x.copy()
+        xp[idx] += step
+        xm = x.copy()
+        xm[idx] -= step
+        fd = (ms_ssim_value(xp, y, cfg) - ms_ssim_value(xm, y, cfg)) / (2 * step)
+        assert abs(fd - grad[idx]) <= 1e-5 * max(1e-8, abs(fd))
+
+
+def test_window_matrices_are_symmetric_and_normalised():
+    for n in (11, 12, 13, 24, 45, 50):
+        ch, cw = _window(n, n + 1, 11, 1.5)
+        for m in (ch, cw):
+            assert np.array_equal(m, m.T)
+            assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-15
+            assert np.count_nonzero(m[0]) == 11
+
+
+@pytest.mark.parametrize("shape", [(45, 50), (12, 13), (3, 2, 24, 26)])
+def test_wfilt_matches_the_transfer_route(shape):
+    # the 2D window through the package's transfer function and a real FFT pair
+    h, w = shape[-2:]
+    x = np.random.default_rng(21).uniform(0, 1, shape)
+    t = transfer(gaussian_kernel(11, 1.5), h, w)[:, : w // 2 + 1].real
+    ref = np.fft.irfft2(np.fft.rfft2(x) * t, s=(h, w))
+    assert np.max(np.abs(_wfilt(x, _window(h, w, 11, 1.5)) - ref)) <= 1e-13
+
+
 def test_ssim_index_basics():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, (32, 32))
@@ -136,7 +177,8 @@ def test_ssim_index_basics():
 
 @pytest.mark.parametrize("h,w", [(48, 48), (45, 50)])
 def test_stack_matches_per_image(h, w):
-    # 45x50 exercises irfft2's output shape and the dropped odd row/column
+    # 45x50 exercises non-square windows (45x45 and 50x50 matrices, then
+    # 22x25, 11x12) and the dropped odd row/column
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, (3, h, w))
     y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
