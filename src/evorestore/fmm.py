@@ -7,13 +7,15 @@ applied in the spatial domain, and sums the two refined branches:
 
     x_l = conv2_periodic(x, K)            # low band (learnable taps K)
     x_h = x - x_l                         # exact complement
-    x_l' = ifft2(M_spec * fft2(x_l))      # spectral gate, M_spec in (0,1)
+    x_l' = irfft2(M_spec * rfft2(x_l))    # spectral gate, M_spec in (0,1)
     x_h' = M_spat * x_h                   # spatial gate, M_spat in (0,1)
     y    = x_l' + x_h'
 
 The operator runs on one grid (H, W) or on a stack of grids (N, H, W); the
 parameters are shared across the stack, and the backward pass sums the
-per-grid gradients over it.
+per-grid gradients over it. Every spectral mask is real and Hermitian-
+symmetric, so the gate and its adjoint run on the real half-spectrum
+(columns 0..W//2) with the mask's matching columns.
 
 Every gradient is derived by hand from the adjoint of each stage; there is no
 autodiff anywhere. The kernel gradient couples through BOTH branches because
@@ -42,12 +44,11 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
 from .grids import (
+    IFFT_IMAG_TOL,
     as_grids,
     as_kernel,
     conv2_periodic,
-    fft2,
     gaussian_kernel,
-    ifft2,
     shifted,
     wrap_pad,
 )
@@ -136,7 +137,7 @@ class FmmActivations:
     x_f: np.ndarray
     x_l: np.ndarray
     x_h: np.ndarray
-    u_l: np.ndarray  # fft2(x_l)
+    u_l: np.ndarray  # rfft2(x_l), the half-spectrum shaped (..., H, W//2 + 1)
     spectral_mask: np.ndarray  # materialized (H, W) real mask
     x_l_refined: np.ndarray
     spatial_mask: np.ndarray  # (H, W) mask, or the gate value per grid shaped (..., 1, 1)
@@ -246,20 +247,45 @@ def band_split(x, p: FmmParams):
 def apply_spectral_mask(low, mask: np.ndarray):
     """Gate a grid in the frequency domain with an explicit real mask.
 
-    Returns (refined, spectrum_of_low). Linear in the mask by construction.
+    Returns (refined, half-spectrum of low). Linear in the mask by
+    construction. The mask must be Hermitian-symmetric (equal to its
+    `hermitian_flip` within IFFT_IMAG_TOL of max|mask|), or the gated grid
+    would not be real; any other mask raises NumericIntegrityError.
     """
     low = as_grids(low)
+    if np.iscomplexobj(mask):
+        raise NumericIntegrityError("spectral mask must be real")
+    mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != low.shape[-2:]:
         raise DimensionError(f"mask shape {mask.shape} != grid {low.shape[-2:]}")
-    u = fft2(low)
-    return ifft2(mask * u), u
+    scale = np.max(np.abs(mask))
+    if not np.isfinite(scale):
+        raise NumericIntegrityError("spectral mask holds NaN or infinite values")
+    asym = np.max(np.abs(mask - hermitian_flip(mask)))
+    if asym > IFFT_IMAG_TOL * scale:
+        raise NumericIntegrityError(
+            f"spectral mask departs from Hermitian symmetry by {asym:.3e}, "
+            f"above {IFFT_IMAG_TOL:.1e} x its max {scale:.3e}"
+        )
+    return _gate_half_spectrum(low, mask)
+
+
+def _gate_half_spectrum(low: np.ndarray, mask: np.ndarray):
+    """irfft2(mask[:, :W//2+1] * rfft2(low)) for a symmetric (H, W) mask, unchecked."""
+    h, w = low.shape[-2:]
+    u = np.fft.rfft2(low, norm="ortho")
+    return np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(h, w), norm="ortho"), u
 
 
 def spectral_gate(low, p: FmmParams):
-    """Materialize the spectral mask for p and gate `low`; returns (refined, u_l, mask)."""
+    """Materialize the spectral mask for p and gate `low`; returns (refined, u_l, mask).
+
+    `spectral_mask` is Hermitian-symmetric by construction, so the gate skips
+    `apply_spectral_mask`'s symmetry check.
+    """
     low = as_grids(low)
     mask = spectral_mask(p, *low.shape[-2:])
-    refined, u = apply_spectral_mask(low, mask)
+    refined, u = _gate_half_spectrum(low, mask)
     return refined, u, mask
 
 
@@ -308,8 +334,11 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     For a stack, L is the sum of the per-grid losses whose gradients
     grad_out holds, so the parameter gradients are summed over the stack.
 
-    Spectral path:  dL/dmask(xi) = Re[conj(fft2(grad_out))(xi) * u_l(xi)],
-    then through the sigmoid/symmetrization (or bin pooling) to the logits.
+    Spectral path:  dL/dmask(xi) = Re[conj(G)(xi) * u_l(xi)] with G =
+    rfft2(grad_out), summed over the stack on the half-spectrum and mirrored
+    to the full (H, W) grid (it is Hermitian-symmetric, like the mask), then
+    through the sigmoid/symmetrization (or bin pooling) to the logits. The
+    gate is self-adjoint: dL/dx_l = irfft2(M_half * G).
     Spatial path:   per_pixel dL/dlogits = grad_out * x_h * m(1-m); gap_affine
     chains each grid's scalar gate through its GAP statistic.
     Kernel path:    dL/dK accumulates the spectral-branch adjoint minus the
@@ -322,10 +351,11 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     h, w = gy.shape[-2:]
 
     # --- spectral branch ---
-    G = fft2(gy)
-    g_mask = _sum_stack((np.conj(G) * acts.u_l).real)
+    G = np.fft.rfft2(gy, norm="ortho")
+    g_half = _sum_stack((np.conj(G) * acts.u_l).real)
+    g_mask = _mirror_half_spectrum(g_half, w)
     g_spectral = spectral_mask_grad_to_logits(p, h, w, acts.spectral_mask, g_mask)
-    g_xl = ifft2(acts.spectral_mask * G)
+    g_xl = np.fft.irfft2(acts.spectral_mask[:, : w // 2 + 1] * G, s=(h, w), norm="ortho")
 
     # --- spatial branch ---
     m = acts.spatial_mask
@@ -349,6 +379,19 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
         for bi in range(size):
             g_taps[ai, bi] = np.vdot(g_xl_total, shifted(xp, ai, bi, c))
     return FmmGrads(g_taps, g_spectral, g_spatial)
+
+
+def _mirror_half_spectrum(half: np.ndarray, w: int) -> np.ndarray:
+    """Full (H, W) Hermitian-symmetric array from its columns 0..W//2.
+
+    Column j > W//2 is the half's row (-i) % H, column W - j.
+    """
+    h, k = half.shape
+    full = np.empty((h, w))
+    full[:, :k] = half
+    rows = -np.arange(h) % h
+    full[:, k:] = half[rows, w - k : 0 : -1]
+    return full
 
 
 def _sum_stack(a: np.ndarray) -> np.ndarray:

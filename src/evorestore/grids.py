@@ -44,14 +44,20 @@ def as_grids(x) -> np.ndarray:
 
 
 def fft2(x) -> np.ndarray:
-    """Unitary forward DFT of a real grid (or each grid of a stack) -> Hermitian spectrum."""
+    """Unitary forward DFT of a real grid (or each grid of a stack) -> Hermitian spectrum.
+
+    The full complex transform is the reference route: the oracles, the A1
+    band-split check and the tests compare against it, while the operator
+    itself gates on the real half-spectrum (`fmm`).
+    """
     return np.fft.fft2(as_grids(x), norm="ortho")
 
 
 def ifft2(u, tol: float = IFFT_IMAG_TOL) -> np.ndarray:
     """Unitary inverse DFT expected to land on a real grid (or stack of grids).
 
-    The imaginary residue of each grid must stay below `tol` relative to that
+    Like `fft2`, a reference transform for the oracles and the tests. The
+    imaginary residue of each grid must stay below `tol` relative to that
     grid's real norm (Hermitian input guarantees this up to rounding); it is
     then discarded.
     """
@@ -91,9 +97,21 @@ def wrap_pad(x: np.ndarray, c: int) -> np.ndarray:
     """Periodic padding by c on each side of the last two axes.
 
     ``shifted(xp, a, b, c)`` of the result equals ``np.roll(x, (a - c, b - c),
-    axis=(-2, -1))`` for 0 <= a, b <= 2c, without copying.
+    axis=(-2, -1))`` for 0 <= a, b <= 2c, without copying. Equal to
+    ``np.pad(x, ..., mode="wrap")`` for 0 <= c <= min(H, W), but filled by
+    slice copies into one new array: the edge rows first, then the edge
+    columns (corners included) from the padded array itself.
     """
-    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(c, c), (c, c)], mode="wrap")
+    h, w = x.shape[-2:]
+    if not 0 <= c <= min(h, w):
+        raise DimensionError(f"wrap pad {c} must be in [0, {min(h, w)}] for grid {(h, w)}")
+    xp = np.empty(x.shape[:-2] + (h + 2 * c, w + 2 * c), dtype=x.dtype)
+    xp[..., c : c + h, c : c + w] = x
+    xp[..., :c, c : c + w] = x[..., h - c :, :]
+    xp[..., c + h :, c : c + w] = x[..., :c, :]
+    xp[..., :c] = xp[..., w : w + c]
+    xp[..., c + w :] = xp[..., c : 2 * c]
+    return xp
 
 
 def shifted(xp: np.ndarray, a: int, b: int, c: int) -> np.ndarray:

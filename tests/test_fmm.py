@@ -5,7 +5,12 @@ import pytest
 
 from evorestore import fmm
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
-from evorestore.grids import fft2, gaussian_kernel, identity_kernel, transfer
+from evorestore.grids import fft2, gaussian_kernel, identity_kernel, ifft2, transfer
+
+PAIRS = [
+    (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL),
+    (fmm.MASK_RADIAL_BINS, fmm.SPATIAL_GAP_AFFINE),
+]
 
 
 def rand_image(rng, h=12, w=12):
@@ -60,11 +65,14 @@ def test_spectral_gate_saturation():
     assert np.min(fmm.spectral_mask(p, 12, 12)) > 1.0 - 1e-12
 
 
-def test_per_frequency_mask_is_hermitian_symmetric():
+@pytest.mark.parametrize("mask_mode", fmm.MASK_MODES)
+@pytest.mark.parametrize("h,w", [(9, 13), (13, 7), (10, 14), (45, 50)])
+def test_spectral_mask_is_exactly_hermitian_symmetric(mask_mode, h, w):
+    # spectral_gate skips the symmetry check because of this, so pin it exactly
     rng = np.random.default_rng(4)
-    p = fmm.default_params(10, 14)
-    p.spectral_logits[:] = rng.normal(size=(10, 14))
-    mask = fmm.spectral_mask(p, 10, 14)
+    p = fmm.default_params(h, w, mask_mode=mask_mode, n_bins=5)
+    p.spectral_logits = rng.normal(size=p.spectral_logits.shape)
+    mask = fmm.spectral_mask(p, h, w)
     assert np.max(np.abs(mask - fmm.hermitian_flip(mask))) == 0.0
 
 
@@ -120,7 +128,7 @@ def test_gap_affine_neutral_setting_halves_high_band():
 def test_apply_spectral_mask_linear_in_mask():
     rng = np.random.default_rng(7)
     low = rng.normal(size=(8, 8))
-    # masks must share the spectrum's conjugate symmetry or ifft2 refuses
+    # masks must be Hermitian-symmetric or apply_spectral_mask refuses them
     m1 = rng.uniform(0, 1, (8, 8))
     m1 = 0.5 * (m1 + fmm.hermitian_flip(m1))
     m2 = rng.uniform(0, 1, (8, 8))
@@ -131,13 +139,7 @@ def test_apply_spectral_mask_linear_in_mask():
     assert np.max(np.abs(r12 - (0.3 * r1 + 0.7 * r2))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "mask_mode,spatial_mode",
-    [
-        (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL),
-        (fmm.MASK_RADIAL_BINS, fmm.SPATIAL_GAP_AFFINE),
-    ],
-)
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
 @pytest.mark.parametrize("h,w", [(12, 12), (45, 50)])
 def test_stack_matches_per_image(mask_mode, spatial_mode, h, w):
     rng = np.random.default_rng(10)
@@ -178,18 +180,103 @@ def test_non_hermitian_mask_on_a_stack_raises():
     assert refined.shape == stack.shape
 
 
+def test_asymmetric_mask_raises_on_any_grid():
+    # a constant grid has a DC-only spectrum, so gating it with an asymmetric
+    # mask leaves no imaginary residue; the mask itself is what gets checked
+    const = np.full((6, 9), 0.4)
+    mask = np.ones((6, 9))
+    mask[2, 3] = 0.5
+    with pytest.raises(NumericIntegrityError):
+        fmm.apply_spectral_mask(const, mask)
+    for bad in (np.full((6, 9), np.nan), np.full((6, 9), np.inf), mask + 0j):
+        with pytest.raises(NumericIntegrityError):
+            fmm.apply_spectral_mask(const, bad)
+    # rounding-level asymmetry, within IFFT_IMAG_TOL of max|mask|, is accepted
+    near = np.full((6, 9), 2.0)
+    near[2, 3] += 1e-9
+    refined, u = fmm.apply_spectral_mask(const, near)
+    assert np.max(np.abs(refined - 2.0 * const)) < 1e-8
+    assert u.shape == (6, 5)
+
+
+def _complex_gate(low, mask):
+    """Reference gate on the full complex spectrum."""
+    return ifft2(mask * fft2(low))
+
+
+def _complex_backward(x, p, grad_out):
+    """Reference fmm_backward: the spectral adjoint on the full complex spectrum."""
+    h, w = x.shape[-2:]
+    x_l, x_h = fmm.band_split(x, p)
+    mask = fmm.spectral_mask(p, h, w)
+    _, m, gap = fmm.spatial_gate(x_h, p)
+    G = fft2(grad_out)
+    g_mask = (np.conj(G) * fft2(x_l)).real.reshape(-1, h, w).sum(axis=0)
+    g_spectral = fmm.spectral_mask_grad_to_logits(p, h, w, mask, g_mask)
+    g_xl = ifft2(mask * G)
+    if p.spatial_mode == fmm.SPATIAL_PER_PIXEL:
+        g_spatial = (grad_out * x_h).reshape(-1, h, w).sum(axis=0) * m * (1.0 - m)
+        g_xh = grad_out * m
+    else:
+        dt = np.sum(grad_out * x_h, axis=(-2, -1), keepdims=True) * m * (1.0 - m)
+        g_spatial = np.array([np.sum(dt * gap), np.sum(dt)])
+        g_xh = m * grad_out + (dt * p.spatial_logits[0] / (h * w)) * np.sign(x_h)
+    g = g_xl - g_xh
+    size = p.lowpass.shape[0]
+    c = size // 2
+    g_taps = np.array(
+        [
+            [np.vdot(g, np.roll(x, (a - c, b - c), axis=(-2, -1))) for b in range(size)]
+            for a in range(size)
+        ]
+    )
+    return g_taps, g_spectral, g_spatial
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+@pytest.mark.parametrize("h,w", [(12, 12), (13, 7), (8, 9), (45, 50)])
+@pytest.mark.parametrize("stack", [False, True])
+def test_half_spectrum_matches_complex_route(mask_mode, spatial_mode, h, w, stack):
+    rng = np.random.default_rng(13)
+    shape = (3, h, w) if stack else (h, w)
+    x = rng.uniform(0.1, 0.9, shape)
+    target = rng.uniform(0.1, 0.9, shape)
+    p = fmm.default_params(h, w, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=4)
+    p.lowpass = p.lowpass + 0.01 * rng.normal(size=p.lowpass.shape)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    p.spatial_logits = rng.normal(0, 0.5, p.spatial_logits.shape)
+
+    acts = fmm.fmm_forward(x, p)
+    assert acts.u_l.shape == shape[:-1] + (w // 2 + 1,)
+    want_y = _complex_gate(acts.x_l, acts.spectral_mask) + acts.x_h_refined
+    assert np.max(np.abs(acts.y_hat - want_y)) <= 1e-12
+    grads = fmm.fmm_backward(acts, p, acts.y_hat - target)
+    want = _complex_backward(x, p, acts.y_hat - target)
+    for got, ref in zip((grads.lowpass, grads.spectral_logits, grads.spatial_logits), want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+def test_no_complex_transform_in_forward_or_backward(monkeypatch, mask_mode, spatial_mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT called in the operator")
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0.1, 0.9, (3, 10, 11))
+    p = fmm.default_params(10, 11, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=3)
+    acts = fmm.fmm_forward(x, p)
+    fmm.fmm_backward(acts, p, acts.y_hat - 0.5)
+
+
 def fd_loss(x, p, target):
     acts = fmm.fmm_forward(x, p)
     return 0.5 * float(np.sum((acts.y_hat - target) ** 2))
 
 
-@pytest.mark.parametrize(
-    "mask_mode,spatial_mode",
-    [
-        (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL),
-        (fmm.MASK_RADIAL_BINS, fmm.SPATIAL_GAP_AFFINE),
-    ],
-)
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
 def test_backward_matches_finite_differences(mask_mode, spatial_mode):
     rng = np.random.default_rng(8)
     h = w = 8
@@ -220,6 +307,32 @@ def test_backward_matches_finite_differences(mask_mode, spatial_mode):
             flat[idx] = keep
             fd = (up - dn) / (2 * step)
             assert abs(fd - gflat[idx]) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize(
+    "mask_mode,h,w", [(fmm.MASK_PER_FREQUENCY, 6, 7), (fmm.MASK_RADIAL_BINS, 7, 10)]
+)
+def test_spectral_logits_match_finite_differences_off_square(mask_mode, h, w):
+    # the half-spectrum mask gradient is mirrored to full width: an odd width
+    # has no Nyquist column, an even one does
+    rng = np.random.default_rng(15)
+    x = rand_image(rng, h, w)
+    target = rand_image(rng, h, w)
+    p = fmm.default_params(h, w, mask_mode=mask_mode, n_bins=4)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    acts = fmm.fmm_forward(x, p)
+    g = fmm.fmm_backward(acts, p, acts.y_hat - target).spectral_logits.ravel()
+    flat = p.spectral_logits.ravel()
+    step = 1e-6
+    for idx in range(flat.size):
+        keep = flat[idx]
+        flat[idx] = keep + step
+        up = fd_loss(x, p, target)
+        flat[idx] = keep - step
+        dn = fd_loss(x, p, target)
+        flat[idx] = keep
+        fd = (up - dn) / (2 * step)
+        assert abs(fd - g[idx]) < 1e-5 * max(1.0, abs(fd))
 
 
 def test_apply_update_and_freeze():
