@@ -5,11 +5,19 @@ lowpass kernel, refines the low band with a sigmoid-bounded mask applied in
 the frequency domain, refines the high band with a sigmoid-bounded mask
 applied in the spatial domain, and sums the two refined branches:
 
-    x_l = conv2_periodic(x, K)            # low band (learnable taps K)
-    x_h = x - x_l                         # exact complement
-    x_l' = irfft2(M_spec * rfft2(x_l))    # spectral gate, M_spec in (0,1)
+    X    = rfft2(x)                       # half-spectrum of the input
+    U    = T_K * X                        # low band's half-spectrum (learnable taps K)
+    x_h  = irfft2(X - U)                  # high band
+    x_l  = x - x_h                        # low band, the exact complement
+    x_l' = irfft2(M_spec * U)             # spectral gate, M_spec in (0,1)
     x_h' = M_spat * x_h                   # spatial gate, M_spat in (0,1)
     y    = x_l' + x_h'
+
+T_K is the transfer of the taps on the half-spectrum (columns 0..W//2),
+Eh @ K @ Ew^T with Eh[u, a] = exp(-2 pi i u (a - c) / H) and Ew alike, so the
+low band is the circular convolution `grids.conv2_periodic(x, K)` up to
+rounding, and an identity kernel (T_K = 1 exactly) leaves a high band of
+exact zeros. The split reuses the spectrum the spectral gate needs anyway.
 
 The operator runs on one grid (H, W) or on a stack of grids (N, H, W); the
 parameters are shared across the stack, and the backward pass sums the
@@ -43,15 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
-from .grids import (
-    IFFT_IMAG_TOL,
-    as_grids,
-    as_kernel,
-    conv2_periodic,
-    gaussian_kernel,
-    shifted,
-    wrap_pad,
-)
+from .grids import IFFT_IMAG_TOL, as_grids, as_kernel, check_kernel_fits, gaussian_kernel
 
 MASK_PER_FREQUENCY = "per_frequency"
 MASK_RADIAL_BINS = "radial_bins"
@@ -134,10 +134,10 @@ class FmmGrads:
 class FmmActivations:
     """Forward-pass record consumed by fmm_backward; grids shaped like the input."""
 
-    x_f: np.ndarray
+    x_spec: np.ndarray  # rfft2(x), the half-spectrum shaped (..., H, W//2 + 1)
     x_l: np.ndarray
     x_h: np.ndarray
-    u_l: np.ndarray  # rfft2(x_l), the half-spectrum shaped (..., H, W//2 + 1)
+    u_l: np.ndarray  # T_K * x_spec, the low band's half-spectrum
     spectral_mask: np.ndarray  # materialized (H, W) real mask
     x_l_refined: np.ndarray
     spatial_mask: np.ndarray  # (H, W) mask, or the gate value per grid shaped (..., 1, 1)
@@ -237,11 +237,48 @@ def spectral_mask_grad_to_logits(
     )
 
 
+_PHASE_CACHE: dict = {}
+
+
+def _tap_phases(n: int, s: int) -> np.ndarray:
+    """(n, s) DFT phases exp(-2 pi i u (a - c) / n) of the s tap offsets a - c, c = s // 2.
+
+    u (a - c) is reduced mod n before the exponential, so every entry is the
+    same root of unity however large u grows.
+    """
+    key = (n, s)
+    cached = _PHASE_CACHE.get(key)
+    if cached is None:
+        r = np.outer(np.arange(n), np.arange(s) - s // 2) % n
+        cached = _PHASE_CACHE[key] = np.exp(-2j * np.pi * r / n)
+    return cached
+
+
+def half_transfer(k, h: int, w: int) -> np.ndarray:
+    """Transfer of the taps on the half-spectrum: `grids.transfer(k, h, w)[:, :w//2+1]`.
+
+    Built as Eh @ K @ Ew^T from the cached tap phases; K * x has half-spectrum
+    half_transfer(K) * rfft2(x). A kernel larger than the grid raises
+    DimensionError rather than wrapping its taps around.
+    """
+    k = as_kernel(k)
+    check_kernel_fits(k, h, w)
+    s = k.shape[0]
+    return _tap_phases(h, s) @ k @ _tap_phases(w, s)[: w // 2 + 1].T
+
+
 def band_split(x, p: FmmParams):
-    """Split into (low, high) = (K * x, x - K * x); low + high == x exactly."""
+    """Split into (low, high, X, U): U = T_K * X is the low band's half-spectrum.
+
+    X = rfft2(x), high = irfft2(X - U) and low = x - high, so low + high == x
+    up to one rounding and an identity kernel gives a high band of exact zeros.
+    """
     x = as_grids(x)
-    low = conv2_periodic(x, p.lowpass)
-    return low, x - low
+    h, w = x.shape[-2:]
+    X = np.fft.rfft2(x, norm="ortho")
+    U = half_transfer(p.lowpass, h, w) * X
+    high = np.fft.irfft2(X - U, s=(h, w), norm="ortho")
+    return x - high, high, X, U
 
 
 def apply_spectral_mask(low, mask: np.ndarray):
@@ -267,26 +304,23 @@ def apply_spectral_mask(low, mask: np.ndarray):
             f"spectral mask departs from Hermitian symmetry by {asym:.3e}, "
             f"above {IFFT_IMAG_TOL:.1e} x its max {scale:.3e}"
         )
-    return _gate_half_spectrum(low, mask)
-
-
-def _gate_half_spectrum(low: np.ndarray, mask: np.ndarray):
-    """irfft2(mask[:, :W//2+1] * rfft2(low)) for a symmetric (H, W) mask, unchecked."""
-    h, w = low.shape[-2:]
     u = np.fft.rfft2(low, norm="ortho")
-    return np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(h, w), norm="ortho"), u
+    return _gate(u, mask, low.shape[-1]), u
 
 
-def spectral_gate(low, p: FmmParams):
-    """Materialize the spectral mask for p and gate `low`; returns (refined, u_l, mask).
+def _gate(u: np.ndarray, mask: np.ndarray, w: int) -> np.ndarray:
+    """irfft2(mask[:, :W//2+1] * u) for a symmetric (H, W) mask, unchecked."""
+    return np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(u.shape[-2], w), norm="ortho")
+
+
+def spectral_gate(u, p: FmmParams, w: int):
+    """Gate the low band given its half-spectrum `u` of width-w grids; returns (refined, mask).
 
     `spectral_mask` is Hermitian-symmetric by construction, so the gate skips
     `apply_spectral_mask`'s symmetry check.
     """
-    low = as_grids(low)
-    mask = spectral_mask(p, *low.shape[-2:])
-    refined, u = _gate_half_spectrum(low, mask)
-    return refined, u, mask
+    mask = spectral_mask(p, u.shape[-2], w)
+    return _gate(u, mask, w), mask
 
 
 def spatial_gate(high, p: FmmParams):
@@ -318,12 +352,13 @@ def spatial_gate(high, p: FmmParams):
 def fmm_forward(x, p: FmmParams) -> FmmActivations:
     """Run the operator, recording every intermediate needed by the backward pass."""
     x = as_grids(x)
-    validate_params(p, *x.shape[-2:])
-    x_l, x_h = band_split(x, p)
-    x_l_ref, u_l, smask = spectral_gate(x_l, p)
+    h, w = x.shape[-2:]
+    validate_params(p, h, w)
+    x_l, x_h, x_spec, u_l = band_split(x, p)
+    x_l_ref, smask = spectral_gate(u_l, p, w)
     x_h_ref, pmask, gap_mean = spatial_gate(x_h, p)
     return FmmActivations(
-        x_f=x, x_l=x_l, x_h=x_h, u_l=u_l, spectral_mask=smask, x_l_refined=x_l_ref,
+        x_spec=x_spec, x_l=x_l, x_h=x_h, u_l=u_l, spectral_mask=smask, x_l_refined=x_l_ref,
         spatial_mask=pmask, gap_mean=gap_mean, x_h_refined=x_h_ref, y_hat=x_l_ref + x_h_ref,
     )
 
@@ -338,12 +373,16 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     rfft2(grad_out), summed over the stack on the half-spectrum and mirrored
     to the full (H, W) grid (it is Hermitian-symmetric, like the mask), then
     through the sigmoid/symmetrization (or bin pooling) to the logits. The
-    gate is self-adjoint: dL/dx_l = irfft2(M_half * G).
+    gate is self-adjoint: it sends G back to M_half * G.
     Spatial path:   per_pixel dL/dlogits = grad_out * x_h * m(1-m); gap_affine
     chains each grid's scalar gate through its GAP statistic.
-    Kernel path:    dL/dK accumulates the spectral-branch adjoint minus the
-    high-branch feedback (x_h = x - K*x), correlated against shifted copies of
-    the input — both couplings are mandatory.
+    Kernel path:    G_l = M_half * G - rfft2(dL/dx_h) is the spectrum of dL/dx_l:
+    the spectral-branch adjoint minus the high-branch feedback (x_h = x - K*x);
+    both couplings are mandatory. dL/dK is the adjoint of the transfer map
+    K -> T_K = Eh @ K @ Ew^T applied to P = sum over the stack of conj(G_l) * X:
+    Re(Eh^T @ (P * w_v) @ Ew), where w_v = 2 on the half-spectrum columns that
+    stand for a mirrored pair of full-spectrum columns, and 1 on column 0 and
+    (even W) the Nyquist column W/2.
     """
     gy = as_grids(grad_out)
     if gy.shape != acts.y_hat.shape:
@@ -355,7 +394,6 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     g_half = _sum_stack((np.conj(G) * acts.u_l).real)
     g_mask = _mirror_half_spectrum(g_half, w)
     g_spectral = spectral_mask_grad_to_logits(p, h, w, acts.spectral_mask, g_mask)
-    g_xl = np.fft.irfft2(acts.spectral_mask[:, : w // 2 + 1] * G, s=(h, w), norm="ortho")
 
     # --- spatial branch ---
     m = acts.spatial_mask
@@ -370,14 +408,11 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
         g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
 
     # --- band split / kernel ---
-    g_xl_total = g_xl - g_xh  # x_h = x - x_l feeds back negatively
+    G_l = acts.spectral_mask[:, : w // 2 + 1] * G - np.fft.rfft2(g_xh, norm="ortho")
+    P = _sum_stack(np.conj(G_l) * acts.x_spec)
+    P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
     size = p.lowpass.shape[0]
-    c = size // 2
-    xp = wrap_pad(acts.x_f, c)
-    g_taps = np.empty_like(p.lowpass)
-    for ai in range(size):
-        for bi in range(size):
-            g_taps[ai, bi] = np.vdot(g_xl_total, shifted(xp, ai, bi, c))
+    g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real
     return FmmGrads(g_taps, g_spectral, g_spatial)
 
 

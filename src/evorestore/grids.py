@@ -86,7 +86,7 @@ def as_kernel(k) -> np.ndarray:
     return a
 
 
-def _check_kernel_fits(k: np.ndarray, h: int, w: int) -> None:
+def check_kernel_fits(k: np.ndarray, h: int, w: int) -> None:
     if k.shape[0] > min(h, w):
         raise DimensionError(
             f"kernel size {k.shape[0]} exceeds grid min dimension {min(h, w)}"
@@ -131,7 +131,7 @@ def conv2_periodic(x, k) -> np.ndarray:
     """
     x = as_grids(x)
     k = as_kernel(k)
-    _check_kernel_fits(k, *x.shape[-2:])
+    check_kernel_fits(k, *x.shape[-2:])
     c = k.shape[0] // 2
     xp = wrap_pad(x, c)
     out = np.zeros_like(x)
@@ -165,7 +165,7 @@ def transfer(k, h: int, w: int) -> np.ndarray:
     k = as_kernel(k)
     if h < 1 or w < 1:
         raise DimensionError(f"target grid must be non-empty, got {(h, w)}")
-    _check_kernel_fits(k, h, w)
+    check_kernel_fits(k, h, w)
     c = k.shape[0] // 2
     pad = np.zeros((h, w))
     pad[: k.shape[0], : k.shape[1]] = k

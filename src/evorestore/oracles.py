@@ -37,6 +37,7 @@ from .grids import (
     transfer,
 )
 from .losses import MsSsimConfig, charbonnier, ms_ssim
+from .util import stacks
 
 
 @dataclass
@@ -407,11 +408,12 @@ def wiener_recovery(
         spatial_mode=fmm.SPATIAL_GAP_AFFINE,
         spatial_logits=np.zeros(2),
     )
+    batches = list(stacks(noisy, [clean] * n_train))
     for _ in range(iterations):
         g = np.zeros((height, width))
-        for x in noisy:
+        for x, target in batches:
             acts = fmm.fmm_forward(x, p)
-            _, g_out = charbonnier(acts.y_hat, clean)
+            _, g_out = charbonnier(acts.y_hat, target)
             g += fmm.fmm_backward(acts, p, g_out).spectral_logits
         p.spectral_logits -= (lr / n_train) * g
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evorestore import fmm
+from evorestore import fmm, grids
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.grids import fft2, gaussian_kernel, identity_kernel, ifft2, transfer
 
@@ -22,7 +22,7 @@ def test_band_split_sums_to_input():
     p = fmm.default_params(12, 12)
     for _ in range(10):
         x = rand_image(rng)
-        low, high = fmm.band_split(x, p)
+        low, high, _, _ = fmm.band_split(x, p)
         assert np.max(np.abs(low + high - x)) < 1e-12
 
 
@@ -32,7 +32,7 @@ def test_band_split_spectral_identity():
     rng = np.random.default_rng(1)
     p = fmm.default_params(16, 16, kernel_size=5, kernel_sigma=1.3)
     x = rand_image(rng, 16, 16)
-    low, _ = fmm.band_split(x, p)
+    low, _, _, _ = fmm.band_split(x, p)
     g = transfer(p.lowpass, 16, 16)
     assert np.max(np.abs(fft2(low) - g * fft2(x))) < 1e-9
 
@@ -99,11 +99,11 @@ def test_radial_bins_select_frequency_bands():
     # a pure low-frequency cosine lives in bin 0 and must pass
     i = np.arange(h)[:, None]
     lowfreq = np.cos(2 * np.pi * i / h) * np.ones((1, w))
-    refined, _, _ = fmm.spectral_gate(lowfreq, p)
+    refined, _ = fmm.spectral_gate(np.fft.rfft2(lowfreq, norm="ortho"), p, w)
     assert np.max(np.abs(refined - lowfreq)) < 1e-9
     # Nyquist checkerboard lives in the top bin and must vanish
     checker = np.cos(np.pi * (np.arange(h)[:, None] + np.arange(w)[None, :]))
-    refined, _, _ = fmm.spectral_gate(checker, p)
+    refined, _ = fmm.spectral_gate(np.fft.rfft2(checker, norm="ortho"), p, w)
     assert np.max(np.abs(refined)) < 1e-9
 
 
@@ -207,7 +207,7 @@ def _complex_gate(low, mask):
 def _complex_backward(x, p, grad_out):
     """Reference fmm_backward: the spectral adjoint on the full complex spectrum."""
     h, w = x.shape[-2:]
-    x_l, x_h = fmm.band_split(x, p)
+    x_l, x_h, _, _ = fmm.band_split(x, p)
     mask = fmm.spectral_mask(p, h, w)
     _, m, gap = fmm.spatial_gate(x_h, p)
     G = fft2(grad_out)
@@ -264,11 +264,48 @@ def test_no_complex_transform_in_forward_or_backward(monkeypatch, mask_mode, spa
 
     for name in ("fft2", "ifft2", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, refuse)
+    # the band split and the tap gradient run in the Fourier domain too
+    monkeypatch.setattr(grids, "conv2_periodic", refuse)
+    monkeypatch.setattr(fmm, "conv2_periodic", refuse, raising=False)
+    monkeypatch.setattr(np, "vdot", refuse)
     rng = np.random.default_rng(14)
     x = rng.uniform(0.1, 0.9, (3, 10, 11))
     p = fmm.default_params(10, 11, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=3)
     acts = fmm.fmm_forward(x, p)
     fmm.fmm_backward(acts, p, acts.y_hat - 0.5)
+
+
+KERNEL_SIZES = (1, 3, 5, 7)
+GRID_SHAPES = [(12, 12), (13, 7), (8, 9), (45, 50)]
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("h,w", GRID_SHAPES)
+def test_half_transfer_matches_zero_padded_transfer(size, h, w):
+    k = np.random.default_rng(16).normal(size=(size, size))
+    want = transfer(k, h, w)[:, : w // 2 + 1]
+    assert np.max(np.abs(fmm.half_transfer(k, h, w) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("size", KERNEL_SIZES)
+@pytest.mark.parametrize("h,w", GRID_SHAPES)
+@pytest.mark.parametrize("stack", [False, True])
+def test_band_split_matches_spatial_convolution(size, h, w, stack):
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.1, 0.9, (3, h, w) if stack else (h, w))
+    p = fmm.default_params(h, w, kernel_size=size)
+    p.lowpass = p.lowpass + 0.1 * rng.normal(size=p.lowpass.shape)
+    low, high, _, _ = fmm.band_split(x, p)
+    assert np.max(np.abs(low - grids.conv2_periodic(x, p.lowpass))) <= 1e-12
+    assert np.max(np.abs(low + high - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_kernel_larger_than_grid_raises(stack):
+    x = np.full((2, 5, 6) if stack else (5, 6), 0.5)
+    p = fmm.default_params(5, 6, kernel_size=7)
+    with pytest.raises(DimensionError, match="kernel size 7 exceeds"):
+        fmm.fmm_forward(x, p)
 
 
 def fd_loss(x, p, target):
@@ -323,6 +360,36 @@ def test_spectral_logits_match_finite_differences_off_square(mask_mode, h, w):
     acts = fmm.fmm_forward(x, p)
     g = fmm.fmm_backward(acts, p, acts.y_hat - target).spectral_logits.ravel()
     flat = p.spectral_logits.ravel()
+    step = 1e-6
+    for idx in range(flat.size):
+        keep = flat[idx]
+        flat[idx] = keep + step
+        up = fd_loss(x, p, target)
+        flat[idx] = keep - step
+        dn = fd_loss(x, p, target)
+        flat[idx] = keep
+        fd = (up - dn) / (2 * step)
+        assert abs(fd - g[idx]) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("h,w", [(8, 9), (9, 8)])
+def test_lowpass_grad_matches_finite_differences(mask_mode, spatial_mode, size, h, w):
+    # the tap gradient weighs half-spectrum columns by 2, except column 0 and,
+    # at an even width, the Nyquist column
+    rng = np.random.default_rng(18)
+    x = rng.uniform(0.1, 0.9, (2, h, w))
+    target = rng.uniform(0.1, 0.9, (2, h, w))
+    p = fmm.default_params(
+        h, w, mask_mode=mask_mode, spatial_mode=spatial_mode, kernel_size=size, n_bins=3
+    )
+    p.lowpass = p.lowpass + 0.05 * rng.normal(size=p.lowpass.shape)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    p.spatial_logits = rng.normal(0, 0.5, p.spatial_logits.shape)
+    acts = fmm.fmm_forward(x, p)
+    g = fmm.fmm_backward(acts, p, acts.y_hat - target).lowpass.ravel()
+    flat = p.lowpass.ravel()
     step = 1e-6
     for idx in range(flat.size):
         keep = flat[idx]
