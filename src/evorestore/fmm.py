@@ -8,16 +8,16 @@ applied in the spatial domain, and sums the two refined branches:
     X    = rfft2(x)                       # half-spectrum of the input
     U    = T_K * X                        # low band's half-spectrum (learnable taps K)
     x_h  = irfft2(X - U)                  # high band
-    x_l  = x - x_h                        # low band, the exact complement
     x_l' = irfft2(M_spec * U)             # spectral gate, M_spec in (0,1)
     x_h' = M_spat * x_h                   # spatial gate, M_spat in (0,1)
     y    = x_l' + x_h'
 
 T_K is the transfer of the taps on the half-spectrum (columns 0..W//2),
 Eh @ K @ Ew^T with Eh[u, a] = exp(-2 pi i u (a - c) / H) and Ew alike, so the
-low band is the circular convolution `grids.conv2_periodic(x, K)` up to
-rounding, and an identity kernel (T_K = 1 exactly) leaves a high band of
-exact zeros. The split reuses the spectrum the spectral gate needs anyway.
+low band x_l = x - x_h is the circular convolution `grids.conv2_periodic(x, K)`
+up to rounding, and an identity kernel (T_K = 1 exactly) leaves a high band of
+exact zeros. The split reuses the spectrum the spectral gate needs anyway,
+and x_l itself is never materialised: the gate and the backward read U instead.
 
 The operator runs on one grid (H, W) or on a stack of grids (N, H, W); the
 parameters are shared across the stack, and the backward pass sums the
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
-from .grids import IFFT_IMAG_TOL, as_grids, as_kernel, check_kernel_fits, gaussian_kernel
+from .grids import as_grids, as_kernel, check_kernel_fits, gaussian_kernel
 
 MASK_PER_FREQUENCY = "per_frequency"
 MASK_RADIAL_BINS = "radial_bins"
@@ -132,17 +132,14 @@ class FmmGrads:
 
 @dataclass
 class FmmActivations:
-    """Forward-pass record consumed by fmm_backward; grids shaped like the input."""
+    """Forward-pass record: what fmm_backward reads, plus the output y_hat."""
 
     x_spec: np.ndarray  # rfft2(x), the half-spectrum shaped (..., H, W//2 + 1)
-    x_l: np.ndarray
-    x_h: np.ndarray
+    x_h: np.ndarray  # high band, shaped like the input
     u_l: np.ndarray  # T_K * x_spec, the low band's half-spectrum
     spectral_mask: np.ndarray  # materialized (H, W) real mask
-    x_l_refined: np.ndarray
     spatial_mask: np.ndarray  # (H, W) mask, or the gate value per grid shaped (..., 1, 1)
     gap_mean: np.ndarray | None  # mean(|x_h|) per grid, shaped (..., 1, 1), in gap_affine mode
-    x_h_refined: np.ndarray
     y_hat: np.ndarray
 
 
@@ -268,59 +265,28 @@ def half_transfer(k, h: int, w: int) -> np.ndarray:
 
 
 def band_split(x, p: FmmParams):
-    """Split into (low, high, X, U): U = T_K * X is the low band's half-spectrum.
+    """Split into (high, X, U): U = T_K * X is the low band's half-spectrum.
 
-    X = rfft2(x), high = irfft2(X - U) and low = x - high, so low + high == x
-    up to one rounding and an identity kernel gives a high band of exact zeros.
+    X = rfft2(x) and high = irfft2(X - U); the low band x - high is left to
+    the caller. An identity kernel gives a high band of exact zeros.
     """
     x = as_grids(x)
     h, w = x.shape[-2:]
     X = np.fft.rfft2(x, norm="ortho")
     U = half_transfer(p.lowpass, h, w) * X
     high = np.fft.irfft2(X - U, s=(h, w), norm="ortho")
-    return x - high, high, X, U
-
-
-def apply_spectral_mask(low, mask: np.ndarray):
-    """Gate a grid in the frequency domain with an explicit real mask.
-
-    Returns (refined, half-spectrum of low). Linear in the mask by
-    construction. The mask must be Hermitian-symmetric (equal to its
-    `hermitian_flip` within IFFT_IMAG_TOL of max|mask|), or the gated grid
-    would not be real; any other mask raises NumericIntegrityError.
-    """
-    low = as_grids(low)
-    if np.iscomplexobj(mask):
-        raise NumericIntegrityError("spectral mask must be real")
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != low.shape[-2:]:
-        raise DimensionError(f"mask shape {mask.shape} != grid {low.shape[-2:]}")
-    scale = np.max(np.abs(mask))
-    if not np.isfinite(scale):
-        raise NumericIntegrityError("spectral mask holds NaN or infinite values")
-    asym = np.max(np.abs(mask - hermitian_flip(mask)))
-    if asym > IFFT_IMAG_TOL * scale:
-        raise NumericIntegrityError(
-            f"spectral mask departs from Hermitian symmetry by {asym:.3e}, "
-            f"above {IFFT_IMAG_TOL:.1e} x its max {scale:.3e}"
-        )
-    u = np.fft.rfft2(low, norm="ortho")
-    return _gate(u, mask, low.shape[-1]), u
-
-
-def _gate(u: np.ndarray, mask: np.ndarray, w: int) -> np.ndarray:
-    """irfft2(mask[:, :W//2+1] * u) for a symmetric (H, W) mask, unchecked."""
-    return np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(u.shape[-2], w), norm="ortho")
+    return high, X, U
 
 
 def spectral_gate(u, p: FmmParams, w: int):
     """Gate the low band given its half-spectrum `u` of width-w grids; returns (refined, mask).
 
-    `spectral_mask` is Hermitian-symmetric by construction, so the gate skips
-    `apply_spectral_mask`'s symmetry check.
+    refined = irfft2(mask[:, :W//2+1] * u): `spectral_mask` is Hermitian-
+    symmetric by construction, so its half columns define the whole gate.
     """
     mask = spectral_mask(p, u.shape[-2], w)
-    return _gate(u, mask, w), mask
+    refined = np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(u.shape[-2], w), norm="ortho")
+    return refined, mask
 
 
 def spatial_gate(high, p: FmmParams):
@@ -350,16 +316,17 @@ def spatial_gate(high, p: FmmParams):
 
 
 def fmm_forward(x, p: FmmParams) -> FmmActivations:
-    """Run the operator, recording every intermediate needed by the backward pass."""
+    """Run the operator; y_hat is the gate's output with the spatial branch added in place."""
     x = as_grids(x)
     h, w = x.shape[-2:]
     validate_params(p, h, w)
-    x_l, x_h, x_spec, u_l = band_split(x, p)
-    x_l_ref, smask = spectral_gate(u_l, p, w)
+    x_h, x_spec, u_l = band_split(x, p)
+    y, smask = spectral_gate(u_l, p, w)
     x_h_ref, pmask, gap_mean = spatial_gate(x_h, p)
+    y += x_h_ref
     return FmmActivations(
-        x_spec=x_spec, x_l=x_l, x_h=x_h, u_l=u_l, spectral_mask=smask, x_l_refined=x_l_ref,
-        spatial_mask=pmask, gap_mean=gap_mean, x_h_refined=x_h_ref, y_hat=x_l_ref + x_h_ref,
+        x_spec=x_spec, x_h=x_h, u_l=u_l, spectral_mask=smask,
+        spatial_mask=pmask, gap_mean=gap_mean, y_hat=y,
     )
 
 
@@ -408,8 +375,9 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
         g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
 
     # --- band split / kernel ---
-    G_l = acts.spectral_mask[:, : w // 2 + 1] * G - np.fft.rfft2(g_xh, norm="ortho")
-    P = _sum_stack(np.conj(G_l) * acts.x_spec)
+    G_l = acts.spectral_mask[:, : w // 2 + 1] * G
+    G_l -= np.fft.rfft2(g_xh, norm="ortho")
+    P = _sum_stack(np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
     P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
     size = p.lowpass.shape[0]
     g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real

@@ -18,17 +18,17 @@ from .grids import as_grid
 STACK_PIXELS = 8192
 
 
-def stacks(degraded: Sequence, clean: Sequence):
+def stacks(degraded: Sequence, clean: Sequence, pixels: int = STACK_PIXELS):
     """Yield matching (N, H, W) stacks of consecutive grids of two sequences, in order.
 
-    A stack holds at most STACK_PIXELS pixels, or one grid if a grid is
-    larger; it ends where either sequence changes shape.
+    A stack holds at most `pixels` pixels, or one grid if a grid is larger;
+    it ends where either sequence changes shape.
     """
     i = 0
     while i < len(degraded):
         shapes = (as_grid(degraded[i]).shape, as_grid(clean[i]).shape)
         h, w = shapes[0]
-        end = min(len(degraded), i + max(1, STACK_PIXELS // (h * w)))
+        end = min(len(degraded), i + max(1, pixels // (h * w)))
         j = i + 1
         while j < end and (np.shape(degraded[j]), np.shape(clean[j])) == shapes:
             j += 1

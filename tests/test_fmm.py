@@ -22,7 +22,8 @@ def test_band_split_sums_to_input():
     p = fmm.default_params(12, 12)
     for _ in range(10):
         x = rand_image(rng)
-        low, high, _, _ = fmm.band_split(x, p)
+        high, _, _ = fmm.band_split(x, p)
+        low = x - high
         assert np.max(np.abs(low + high - x)) < 1e-12
 
 
@@ -32,7 +33,7 @@ def test_band_split_spectral_identity():
     rng = np.random.default_rng(1)
     p = fmm.default_params(16, 16, kernel_size=5, kernel_sigma=1.3)
     x = rand_image(rng, 16, 16)
-    low, _, _, _ = fmm.band_split(x, p)
+    low = x - fmm.band_split(x, p)[0]
     g = transfer(p.lowpass, 16, 16)
     assert np.max(np.abs(fft2(low) - g * fft2(x))) < 1e-9
 
@@ -122,21 +123,8 @@ def test_gap_affine_neutral_setting_halves_high_band():
     acts = fmm.fmm_forward(x, p)
     # a = b = 0 -> sigmoid(0) = 0.5 regardless of the pooled magnitude
     assert abs(acts.spatial_mask - 0.5) < 1e-15
-    assert np.max(np.abs(acts.x_h_refined - 0.5 * acts.x_h)) < 1e-15
-
-
-def test_apply_spectral_mask_linear_in_mask():
-    rng = np.random.default_rng(7)
-    low = rng.normal(size=(8, 8))
-    # masks must be Hermitian-symmetric or apply_spectral_mask refuses them
-    m1 = rng.uniform(0, 1, (8, 8))
-    m1 = 0.5 * (m1 + fmm.hermitian_flip(m1))
-    m2 = rng.uniform(0, 1, (8, 8))
-    m2 = 0.5 * (m2 + fmm.hermitian_flip(m2))
-    r1, _ = fmm.apply_spectral_mask(low, m1)
-    r2, _ = fmm.apply_spectral_mask(low, m2)
-    r12, _ = fmm.apply_spectral_mask(low, 0.3 * m1 + 0.7 * m2)
-    assert np.max(np.abs(r12 - (0.3 * r1 + 0.7 * r2))) < 1e-12
+    x_h_refined = fmm.spatial_gate(acts.x_h, p)[0]
+    assert np.max(np.abs(x_h_refined - 0.5 * acts.x_h)) < 1e-15
 
 
 @pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
@@ -166,39 +154,6 @@ def test_stack_matches_per_image(mask_mode, spatial_mode, h, w):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_non_hermitian_mask_on_a_stack_raises():
-    # the residue is judged per grid: a huge constant grid in the same stack
-    # must not hide the residue of a small one
-    rng = np.random.default_rng(11)
-    stack = np.stack([np.full((8, 8), 1e6), rng.normal(size=(8, 8))])
-    mask = np.ones((8, 8))
-    mask[1, 2] = 0.0  # its mirror (7, 6) stays 1
-    with pytest.raises(NumericIntegrityError):
-        fmm.apply_spectral_mask(stack, mask)
-    sym = 0.5 * (mask + fmm.hermitian_flip(mask))
-    refined, _ = fmm.apply_spectral_mask(stack, sym)
-    assert refined.shape == stack.shape
-
-
-def test_asymmetric_mask_raises_on_any_grid():
-    # a constant grid has a DC-only spectrum, so gating it with an asymmetric
-    # mask leaves no imaginary residue; the mask itself is what gets checked
-    const = np.full((6, 9), 0.4)
-    mask = np.ones((6, 9))
-    mask[2, 3] = 0.5
-    with pytest.raises(NumericIntegrityError):
-        fmm.apply_spectral_mask(const, mask)
-    for bad in (np.full((6, 9), np.nan), np.full((6, 9), np.inf), mask + 0j):
-        with pytest.raises(NumericIntegrityError):
-            fmm.apply_spectral_mask(const, bad)
-    # rounding-level asymmetry, within IFFT_IMAG_TOL of max|mask|, is accepted
-    near = np.full((6, 9), 2.0)
-    near[2, 3] += 1e-9
-    refined, u = fmm.apply_spectral_mask(const, near)
-    assert np.max(np.abs(refined - 2.0 * const)) < 1e-8
-    assert u.shape == (6, 5)
-
-
 def _complex_gate(low, mask):
     """Reference gate on the full complex spectrum."""
     return ifft2(mask * fft2(low))
@@ -207,7 +162,8 @@ def _complex_gate(low, mask):
 def _complex_backward(x, p, grad_out):
     """Reference fmm_backward: the spectral adjoint on the full complex spectrum."""
     h, w = x.shape[-2:]
-    x_l, x_h, _, _ = fmm.band_split(x, p)
+    x_h = fmm.band_split(x, p)[0]
+    x_l = x - x_h
     mask = fmm.spectral_mask(p, h, w)
     _, m, gap = fmm.spatial_gate(x_h, p)
     G = fft2(grad_out)
@@ -248,13 +204,32 @@ def test_half_spectrum_matches_complex_route(mask_mode, spatial_mode, h, w, stac
 
     acts = fmm.fmm_forward(x, p)
     assert acts.u_l.shape == shape[:-1] + (w // 2 + 1,)
-    want_y = _complex_gate(acts.x_l, acts.spectral_mask) + acts.x_h_refined
+    x_h_refined = fmm.spatial_gate(acts.x_h, p)[0]
+    want_y = _complex_gate(x - acts.x_h, acts.spectral_mask) + x_h_refined
     assert np.max(np.abs(acts.y_hat - want_y)) <= 1e-12
     grads = fmm.fmm_backward(acts, p, acts.y_hat - target)
     want = _complex_backward(x, p, acts.y_hat - target)
     for got, ref in zip((grads.lowpass, grads.spectral_logits, grads.spatial_logits), want):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+@pytest.mark.parametrize("stack", [False, True])
+def test_output_is_exactly_the_gate_plus_the_spatial_branch(mask_mode, spatial_mode, stack):
+    # y_hat is built in place; it must equal irfft2(M * U) + m * x_h bit for bit
+    rng = np.random.default_rng(15)
+    h, w = 13, 10
+    x = rng.uniform(0.1, 0.9, (3, h, w) if stack else (h, w))
+    p = fmm.default_params(h, w, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=4)
+    p.lowpass = p.lowpass + 0.01 * rng.normal(size=p.lowpass.shape)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    p.spatial_logits = rng.normal(0, 0.5, p.spatial_logits.shape)
+    x_h, _, U = fmm.band_split(x, p)
+    M = fmm.spectral_mask(p, h, w)
+    m = fmm.spatial_gate(x_h, p)[1]
+    want = np.fft.irfft2(M[:, : w // 2 + 1] * U, s=(h, w), norm="ortho") + m * x_h
+    assert np.array_equal(fmm.fmm_forward(x, p).y_hat, want)
 
 
 @pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
@@ -295,7 +270,8 @@ def test_band_split_matches_spatial_convolution(size, h, w, stack):
     x = rng.uniform(0.1, 0.9, (3, h, w) if stack else (h, w))
     p = fmm.default_params(h, w, kernel_size=size)
     p.lowpass = p.lowpass + 0.1 * rng.normal(size=p.lowpass.shape)
-    low, high, _, _ = fmm.band_split(x, p)
+    high, _, _ = fmm.band_split(x, p)
+    low = x - high
     assert np.max(np.abs(low - grids.conv2_periodic(x, p.lowpass))) <= 1e-12
     assert np.max(np.abs(low + high - x)) <= 1e-12
 

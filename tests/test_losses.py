@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evorestore import losses
 from evorestore.errors import ConfigError
 from evorestore.grids import gaussian_kernel, transfer
 from evorestore.losses import (
@@ -262,3 +263,67 @@ def test_combined_loss_is_exact_affine_mix():
     assert lv.alpha == 0.8 and lv.beta == 0.2
     assert abs(lv.combined - (0.8 * fid + 0.2 * (1.0 - ms))) < 1e-15
     assert np.max(np.abs(grad - (0.8 * g_fid - 0.2 * g_ms))) == 0.0
+
+
+# Out-of-place reference of the MS-SSIM scale maps and their adjoint: every
+# map a fresh array, the window filtering a whole stack, Charbonnier's and the
+# combined gradient formed by plain expressions. The package builds the same
+# values in place, in the same order, so the two must agree bit for bit.
+
+
+def _ref_wfilt(x, win):
+    return win[0] @ x @ win[1]
+
+
+def _ref_ssim_parts(x, y, win, c1, c2, with_luminance):
+    mx, my, ess, exy = _ref_wfilt(np.stack([x, y, x * x + y * y, x * y]), win)
+    sxy = exy - mx * my
+    q = ess - mx * mx - my * my + c2
+    cs = (2.0 * sxy + c2) / q
+    parts = {"x": x, "y": y, "mx": mx, "my": my, "q": q, "cs": cs, "win": win}
+    if with_luminance:
+        s = mx * mx + my * my + c1
+        parts["s"] = s
+        parts["l"] = (2.0 * mx * my + c1) / s
+    return parts
+
+
+def _ref_ssim_scale_backward(parts, g_cs_mean, g_l_mean):
+    x, y = parts["x"], parts["y"]
+    n = x.shape[-2] * x.shape[-1]
+    u = g_cs_mean / n
+    a_sxy = u * (2.0 / parts["q"])
+    a_sxx = u * (-parts["cs"] / parts["q"])
+    mean_term = 2.0 * a_sxx * parts["mx"] + a_sxy * parts["my"]
+    if g_l_mean is not None:
+        b_mx = (g_l_mean / n) * 2.0 * (parts["my"] - parts["l"] * parts["mx"]) / parts["s"]
+        mean_term = mean_term - b_mx
+    f_sxx, f_sxy, f_mean = _ref_wfilt(np.stack([a_sxx, a_sxy, mean_term]), parts["win"])
+    return 2.0 * x * f_sxx + y * f_sxy - f_mean
+
+
+def _ref_charbonnier_grad(pred, target, eps=DEFAULT_CHARBONNIER_EPS):
+    diff = pred - target
+    root = np.sqrt(diff * diff + eps * eps)
+    return diff / (root * (pred.shape[-2] * pred.shape[-1]))
+
+
+@pytest.mark.parametrize("size", [48, 64, 128])
+def test_in_place_maps_equal_the_out_of_place_reference_exactly(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    x = rng.uniform(0, 1, (3, size, size))
+    y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
+    w = WeightPair(0.8, 0.2)
+    ms, g_ms = ms_ssim(x, y)
+    ss, ms_v = ssim_and_ms_ssim(x, y)
+    lv, grad = combined_loss(x, y, w)
+    monkeypatch.setattr(losses, "_ssim_parts", _ref_ssim_parts)
+    monkeypatch.setattr(losses, "_ssim_scale_backward", _ref_ssim_scale_backward)
+    ref_ms, ref_g_ms = ms_ssim(x, y)
+    ref_ss, ref_ms_v = ssim_and_ms_ssim(x, y)
+    assert np.array_equal(ms, ref_ms) and np.array_equal(ms_v, ref_ms_v)
+    assert np.array_equal(ss, ref_ss)
+    assert np.array_equal(g_ms, ref_g_ms)
+    ref_grad = 0.8 * _ref_charbonnier_grad(x, y) - 0.2 * ref_g_ms
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(lv.perceptual, 1.0 - ref_ms)

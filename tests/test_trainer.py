@@ -207,6 +207,14 @@ def test_stacks_bound_pixels_and_split_at_shape_changes():
     ]
 
 
+def test_stacks_take_a_pixel_budget():
+    grids = [np.full((64, 64), float(i)) for i in range(20)]
+    got = list(stacks(grids, grids, pixels=32_768))
+    assert [a.shape[0] for a, _ in got] == [8, 8, 4]
+    assert np.array_equal(np.concatenate([a for a, _ in got]), np.stack(grids))
+    assert [a.shape[0] for a, _ in stacks(grids[:3], grids[:3], pixels=1)] == [1, 1, 1]
+
+
 def test_csv_writers(tmp_path):
     ds = small_dataset()
     params, trace = train(ds, small_config(iterations=10, eos=EosConfig(4, 2, 1, 0.3, 5, 0)))
