@@ -23,18 +23,12 @@ from .degrade import (
     synthetic_clean_images,
     write_dataset,
 )
-from .eos import eos_overhead_report, run_eos, write_summary_csv, write_trace_csv
+from .eos import CandidateRecord, eos_overhead_report, run_eos, write_summary_csv
 from .errors import ConfigError, DimensionError, DivergenceError, NumericIntegrityError
 from .fmm import load_params, save_params
 from .losses import WeightPair
-from .trainer import (
-    evaluate,
-    train,
-    write_eval_csv,
-    write_metrics_csv,
-    write_trace_csv as write_train_trace_csv,
-)
-from .util import write_csv
+from .trainer import EvalPoint, IterationRow, MetricsRow, evaluate, train
+from .util import write_csv, write_records
 
 OUT_ENV = "EVORESTORE_OUT"
 
@@ -153,9 +147,10 @@ def _cmd_train(args) -> int:
     params, trace = train(dataset, app.trainer)
 
     save_params(os.path.join(args.out, "final.fmmp"), params)
-    write_train_trace_csv(os.path.join(args.out, "trace.csv"), trace)
-    write_eval_csv(os.path.join(args.out, "eval.csv"), trace)
-    write_trace_csv(os.path.join(args.out, "eos_trace.csv"), trace.eos_traces)
+    write_records(os.path.join(args.out, "trace.csv"), IterationRow, trace.rows)
+    write_records(os.path.join(args.out, "eval.csv"), EvalPoint, trace.evals)
+    candidates = [r for t in trace.eos_traces for r in t.records]
+    write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, candidates)
     write_summary_csv(os.path.join(args.out, "eos_summary.csv"), trace.eos_traces)
     with open(os.path.join(args.out, "run_summary.txt"), "w") as fh:
         fh.write(f"iterations = {app.trainer.iterations}\n")
@@ -179,7 +174,7 @@ def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     table = evaluate(params, dataset, args.split, app.trainer.charbonnier_eps)
     os.makedirs(args.out, exist_ok=True)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
+    write_records(os.path.join(args.out, "metrics.csv"), MetricsRow, table)
     print(f"{'kind':<10} {'count':>5} {'psnr':>8} {'ssim':>7} {'fid':>9} {'perc':>9}")
     for row in table:
         print(
@@ -201,7 +196,7 @@ def _cmd_eos_trace(args) -> int:
         params, val, app.trainer.eos, init, trigger_index=1, eps=app.trainer.charbonnier_eps
     )
     os.makedirs(args.out, exist_ok=True)
-    write_trace_csv(os.path.join(args.out, "eos_trace.csv"), [trace])
+    write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, trace.records)
     write_summary_csv(os.path.join(args.out, "eos_summary.csv"), [trace])
     print("generation  best_fitness        winner_so_far")
     for g, best in enumerate(trace.best_per_generation):

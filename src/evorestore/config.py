@@ -2,7 +2,9 @@
 
 Every key is registered below with its parser; unknown keys — from the file or
 from `--set` overrides — raise ConfigError. The same keys back both the config
-file and overrides, and they mirror the typed config dataclasses one-to-one.
+file and overrides. The `trainer.*`, `eos.*` and `dataset.*` keys are the
+fields of TrainConfig, EosConfig and DatasetConfig, each parsed by its
+annotation; `degradation.specs` is the one key registered by hand.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ def parse_degradation_specs(text: str) -> tuple:
             if name not in _SPEC_PARAMS[kind]:
                 raise ConfigError(f"unknown parameter {name!r} for kind {kind!r}")
             kwargs[name] = _SPEC_PARAMS[kind][name](raw.strip())
-            if not math.isfinite(kwargs[name]):
-                raise ConfigError(f"{kind} {name} must be finite, got {raw.strip()!r}")
         spec = DegradationSpec(kind=kind, **kwargs)
         spec.validate()
         specs.append(spec)
@@ -92,51 +92,25 @@ def parse_degradation_specs(text: str) -> tuple:
     return tuple(specs)
 
 
+# field annotation -> parser; annotations are strings (PEP 563)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": _parse_optional_int,
+    "tuple": _parse_freeze,
+}
+
 # key -> (section, field, parser); sections address the nested dataclasses
-_KEYS = {}
+_KEYS = {"degradation.specs": ("degradation", "specs", parse_degradation_specs)}
 
-
-def _register(section: str, name: str, parser, key: str | None = None):
-    _KEYS[key or f"{section}.{name}"] = (section, name, parser)
-
-
-for _f, _p in [
-    ("iterations", int),
-    ("learning_rate", float),
-    ("lr_halve_at", _parse_optional_int),
-    ("batch_size", int),
-    ("init_alpha", float),
-    ("init_beta", float),
-    ("eval_every", int),
-    ("seed", int),
-    ("charbonnier_eps", float),
-    ("mask_mode", str),
-    ("spatial_mode", str),
-    ("kernel_size", int),
-    ("n_bins", int),
-    ("freeze", _parse_freeze),
-]:
-    _register("trainer", _f, _p)
-
-for _f, _p in [
-    ("population", int),
-    ("generations", int),
-    ("elites", int),
-    ("mutation_sigma", float),
-    ("trigger_interval", int),
-    ("seed", int),
-]:
-    _register("eos", _f, _p)
-
-for _f, _p in [
-    ("manifest", str),
-    ("val_fraction", float),
-    ("test_fraction", float),
-    ("split_seed", int),
-]:
-    _register("dataset", _f, _p)
-
-_register("degradation", "specs", parse_degradation_specs)
+for _section, _cls in (("trainer", TrainConfig), ("eos", EosConfig), ("dataset", DatasetConfig)):
+    for _f in fields(_cls):
+        if _f.name == "eos":  # TrainConfig's nested EosConfig: the eos.* keys
+            continue
+        if _f.type not in _PARSERS:
+            raise TypeError(f"no config parser for {_cls.__name__}.{_f.name}: {_f.type}")
+        _KEYS[f"{_section}.{_f.name}"] = (_section, _f.name, _PARSERS[_f.type])
 
 
 def parse_assignments(lines, source: str) -> dict:

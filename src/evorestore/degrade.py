@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class DegradationSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown degradation kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{self.kind} {f.name} must be finite, got {value}")
         if self.kind == "noise" and not self.sigma > 0:
             raise ConfigError(f"noise sigma must be > 0, got {self.sigma}")
         if self.kind == "blur" and not self.kernel_sigma > 0:
@@ -72,31 +76,6 @@ class DegradationSpec:
                 raise ConfigError(f"rain count must be >= 1, got {self.count}")
             if not 0.0 < self.intensity <= 1.0:
                 raise ConfigError(f"rain intensity must be in (0,1], got {self.intensity}")
-
-    # convenience constructors
-    @classmethod
-    def noise(cls, sigma: float, seed: int = 0) -> "DegradationSpec":
-        return cls("noise", seed=seed, sigma=sigma)
-
-    @classmethod
-    def blur(cls, kernel_sigma: float, seed: int = 0) -> "DegradationSpec":
-        return cls("blur", seed=seed, kernel_sigma=kernel_sigma)
-
-    @classmethod
-    def haze(cls, t0: float, airlight: float, seed: int = 0) -> "DegradationSpec":
-        return cls("haze", seed=seed, t0=t0, airlight=airlight)
-
-    @classmethod
-    def lowlight(cls, gamma: float, scale: float, seed: int = 0) -> "DegradationSpec":
-        return cls("lowlight", seed=seed, gamma=gamma, scale=scale)
-
-    @classmethod
-    def rain(
-        cls, count: int, angle_deg: float, intensity: float, seed: int = 0
-    ) -> "DegradationSpec":
-        return cls(
-            "rain", seed=seed, count=count, angle_deg=angle_deg, intensity=intensity
-        )
 
 
 def _blur_kernel_for(sigma: float, h: int, w: int) -> np.ndarray:

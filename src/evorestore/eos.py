@@ -48,7 +48,6 @@ __all__ = [
     "run_eos",
     "search_weights",
     "eos_overhead_report",
-    "write_trace_csv",
     "write_summary_csv",
 ]
 
@@ -107,6 +106,7 @@ class EosConfig:
 
 @dataclass
 class CandidateRecord:
+    trigger: int
     generation: int
     candidate: int
     alpha: float
@@ -275,7 +275,7 @@ def search_weights(
         best_per_generation.append(fits[order[0]])
         for i, (c, f) in enumerate(zip(pop, fits)):
             records.append(
-                CandidateRecord(g, i, c.alpha, c.beta, f, i in elite_idx, False)
+                CandidateRecord(trigger_index, g, i, c.alpha, c.beta, f, i in elite_idx, False)
             )
 
         if g < cfg.generations - 1:
@@ -351,16 +351,6 @@ def eos_overhead_report(traces, epoch_wall_ms: float) -> OverheadReport:
     )
 
 
-TRACE_HEADER = (
-    "trigger",
-    "generation",
-    "candidate",
-    "alpha",
-    "beta",
-    "fitness",
-    "is_elite",
-    "is_winner",
-)
 SUMMARY_HEADER = (
     "trigger",
     "winner_alpha",
@@ -369,25 +359,6 @@ SUMMARY_HEADER = (
     "total_ms",
     "evaluations",
 )
-
-
-def write_trace_csv(path, traces) -> None:
-    rows = []
-    for t in traces:
-        for r in t.records:
-            rows.append(
-                (
-                    t.trigger_index,
-                    r.generation,
-                    r.candidate,
-                    r.alpha,
-                    r.beta,
-                    r.fitness,
-                    r.is_elite,
-                    r.is_winner,
-                )
-            )
-    write_csv(path, TRACE_HEADER, rows)
 
 
 def write_summary_csv(path, traces) -> None:

@@ -124,10 +124,10 @@ class FmmGrads:
     spectral_logits: np.ndarray
     spatial_logits: np.ndarray
 
-    def scaled_add(self, other: "FmmGrads", scale: float = 1.0) -> None:
-        self.lowpass += scale * other.lowpass
-        self.spectral_logits += scale * other.spectral_logits
-        self.spatial_logits += scale * other.spatial_logits
+    def add(self, other: "FmmGrads") -> None:
+        self.lowpass += other.lowpass
+        self.spectral_logits += other.spectral_logits
+        self.spatial_logits += other.spatial_logits
 
 
 @dataclass

@@ -53,11 +53,11 @@ def fft2(x) -> np.ndarray:
     return np.fft.fft2(as_grids(x), norm="ortho")
 
 
-def ifft2(u, tol: float = IFFT_IMAG_TOL) -> np.ndarray:
+def ifft2(u) -> np.ndarray:
     """Unitary inverse DFT expected to land on a real grid (or stack of grids).
 
     Like `fft2`, a reference transform for the oracles and the tests. The
-    imaginary residue of each grid must stay below `tol` relative to that
+    imaginary residue of each grid must stay below IFFT_IMAG_TOL relative to that
     grid's real norm (Hermitian input guarantees this up to rounding); it is
     then discarded.
     """
@@ -68,10 +68,10 @@ def ifft2(u, tol: float = IFFT_IMAG_TOL) -> np.ndarray:
     re = np.linalg.norm(z.real, axis=(-2, -1))
     im = np.linalg.norm(z.imag, axis=(-2, -1))
     worst = np.max(im / np.maximum(re, 1e-30))
-    if worst > tol:
+    if worst > IFFT_IMAG_TOL:
         raise NumericIntegrityError(
             f"inverse FFT imaginary residue is {worst:.3e} x the real norm of a grid, "
-            f"above {tol:.1e}; input spectrum is not Hermitian-symmetric"
+            f"above {IFFT_IMAG_TOL:.1e}; input spectrum is not Hermitian-symmetric"
         )
     return np.ascontiguousarray(z.real)
 

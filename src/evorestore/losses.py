@@ -31,6 +31,10 @@ MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
+# Gaussian SSIM window: taps and standard deviation.
+WINDOW_SIZE = 11
+WINDOW_SIGMA = 1.5
+
 # Means of the per-scale maps are clamped at this floor before the fractional
 # powers combine them; degenerate anti-correlated inputs would otherwise feed
 # a negative base to a fractional exponent.
@@ -102,59 +106,47 @@ def _weights_for(scales: int) -> tuple:
 @dataclass(frozen=True)
 class MsSsimConfig:
     scales: int = 3
-    window_size: int = 11
-    window_sigma: float = 1.5
-    c1: float = SSIM_C1
-    c2: float = SSIM_C2
-    weights: tuple = field(default=())
+    weights: tuple = field(init=False)  # exponent weights, renormalized over `scales`
 
     def __post_init__(self):
-        if self.window_size % 2 != 1 or self.window_size < 3:
-            raise ConfigError(f"window_size must be odd >= 3, got {self.window_size}")
-        if not self.window_sigma > 0:
-            raise ConfigError(f"window_sigma must be > 0, got {self.window_sigma}")
-        if not self.weights:
-            object.__setattr__(self, "weights", _weights_for(self.scales))
-        elif len(self.weights) != self.scales:
-            raise ConfigError(
-                f"{len(self.weights)} weights for {self.scales} scales"
-            )
+        object.__setattr__(self, "weights", _weights_for(self.scales))
 
     def validate_shape(self, h: int, w: int) -> None:
         coarse = min(h, w) >> (self.scales - 1)
-        if coarse < self.window_size:
+        if coarse < WINDOW_SIZE:
             raise ConfigError(
                 f"grid {h}x{w} too small for {self.scales} dyadic scales with a "
-                f"{self.window_size}-tap window (coarsest side {coarse})"
+                f"{WINDOW_SIZE}-tap window (coarsest side {coarse})"
             )
 
     @classmethod
     def for_shape(cls, h: int, w: int) -> "MsSsimConfig":
         """5 scales for large grids, 3-scale renormalized fallback under 176 px."""
         scales = 5 if min(h, w) >= 176 else 3
-        while scales > 1 and (min(h, w) >> (scales - 1)) < 11:
+        while scales > 1 and (min(h, w) >> (scales - 1)) < WINDOW_SIZE:
             scales -= 1
         cfg = cls(scales=scales)
         cfg.validate_shape(h, w)
         return cfg
 
 
+_TAPS = np.exp(-((np.arange(WINDOW_SIZE) - WINDOW_SIZE // 2) ** 2) / (2.0 * WINDOW_SIGMA**2))
+_TAPS /= _TAPS.sum()
 _WINDOW_CACHE: dict = {}
 
 
-def _window(h: int, w: int, size: int, sigma: float) -> tuple:
+def _window(h: int, w: int) -> tuple:
     """(ch, cw), cached per axis length: the window filters a grid x as ch @ x @ cw.
 
     Circulant matrices of the normalised 1D Gaussian taps, symmetric since the
-    taps are; n >= size (validate_shape), so each entry holds at most one tap.
+    taps are; n >= WINDOW_SIZE (validate_shape), so each entry holds at most one tap.
     """
-    c = size // 2
-    taps = np.exp(-((np.arange(size) - c) ** 2) / (2.0 * sigma * sigma))
+    c = WINDOW_SIZE // 2
     for n in (h, w):
-        if (n, size, sigma) not in _WINDOW_CACHE:
-            row = np.pad(taps / taps.sum(), (0, n - size))
-            _WINDOW_CACHE[n, size, sigma] = row[(np.arange(n) - np.arange(n)[:, None] + c) % n]
-    return _WINDOW_CACHE[h, size, sigma], _WINDOW_CACHE[w, size, sigma]
+        if n not in _WINDOW_CACHE:
+            row = np.pad(_TAPS, (0, n - WINDOW_SIZE))
+            _WINDOW_CACHE[n] = row[(np.arange(n) - np.arange(n)[:, None] + c) % n]
+    return _WINDOW_CACHE[h], _WINDOW_CACHE[w]
 
 
 def _wfilt(x: np.ndarray, win: tuple) -> np.ndarray:
@@ -194,7 +186,7 @@ def _upsample_adjoint(g: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _ssim_parts(x, y, win, c1, c2, with_luminance):
+def _ssim_parts(x, y, win, with_luminance):
     """Windowed SSIM maps of two stacks, built in place on one buffer of the four moments.
 
     Only q = sxx + syy + c2 needs the variances, and the window is linear, so
@@ -210,14 +202,14 @@ def _ssim_parts(x, y, win, c1, c2, with_luminance):
     sxy = np.subtract(exy, t, out=exy)
     q = np.subtract(ess, np.multiply(mx, mx, out=t), out=ess)
     q -= np.multiply(my, my, out=t)
-    q += c2  # ess - mx mx - my my + c2
-    cs = np.add(np.multiply(sxy, 2.0, out=sxy), c2, out=sxy)
+    q += SSIM_C2  # ess - mx mx - my my + c2
+    cs = np.add(np.multiply(sxy, 2.0, out=sxy), SSIM_C2, out=sxy)
     cs /= q  # (2 sxy + c2) / q
     parts = {"x": x, "y": y, "mx": mx, "my": my, "q": q, "cs": cs, "win": win}
     if with_luminance:
         s = mx * mx
-        np.add(np.add(s, np.multiply(my, my, out=t), out=s), c1, out=s)
-        l = np.add(np.multiply(np.multiply(mx, 2.0, out=t), my, out=t), c1, out=t)
+        np.add(np.add(s, np.multiply(my, my, out=t), out=s), SSIM_C1, out=s)
+        l = np.add(np.multiply(np.multiply(mx, 2.0, out=t), my, out=t), SSIM_C1, out=t)
         parts["s"], parts["l"] = s, np.divide(l, s, out=l)  # (2 mx my + c1) / s
     return parts
 
@@ -260,10 +252,9 @@ def _ms_ssim_core(pred, target, cfg: MsSsimConfig, want_grad: bool, want_ssim: b
 
     parts_all, cs_means = [], []
     for j in range(cfg.scales):
-        win = _window(*xs[j].shape[-2:], cfg.window_size, cfg.window_sigma)
         coarsest = j == cfg.scales - 1
         parts = _ssim_parts(
-            xs[j], ys[j], win, cfg.c1, cfg.c2, coarsest or (want_ssim and j == 0)
+            xs[j], ys[j], _window(*xs[j].shape[-2:]), coarsest or (want_ssim and j == 0)
         )
         parts_all.append(parts)
         cs_means.append(np.maximum(_grid_mean(parts["cs"]), _MEAN_FLOOR))
@@ -312,20 +303,19 @@ def ms_ssim_value(pred, target, cfg: MsSsimConfig | None = None):
 
 
 def ssim_and_ms_ssim(pred, target, cfg: MsSsimConfig | None = None):
-    """(single-scale SSIM, MS-SSIM) in one pass; SSIM uses cfg's window and constants."""
+    """(single-scale SSIM, MS-SSIM) in one pass, from the same windowed moments."""
     value, _, ssim = _ms_ssim_call(pred, target, cfg, want_grad=False, want_ssim=True)
     return ssim, value
 
 
-def ssim_index(pred, target, window_size: int = 11, window_sigma: float = 1.5):
+def ssim_index(pred, target):
     """Plain single-scale SSIM (mean of the joint luminance*structure map)."""
     pred, target = _pair(pred, target)
-    if min(pred.shape[-2:]) < window_size:
+    if min(pred.shape[-2:]) < WINDOW_SIZE:
         raise ConfigError(
-            f"grid {pred.shape[-2:]} smaller than the {window_size}-tap SSIM window"
+            f"grid {pred.shape[-2:]} smaller than the {WINDOW_SIZE}-tap SSIM window"
         )
-    win = _window(*pred.shape[-2:], window_size, window_sigma)
-    parts = _ssim_parts(pred, target, win, SSIM_C1, SSIM_C2, True)
+    parts = _ssim_parts(pred, target, _window(*pred.shape[-2:]), True)
     return _per_grid(_grid_mean(parts["l"] * parts["cs"]))
 
 

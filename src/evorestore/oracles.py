@@ -21,7 +21,7 @@ same routines with its own pinned tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from . import fmm
 from .degrade import psnr
 from .errors import ConfigError
 from .grids import (
-    as_grid,
     conv2_periodic,
     corr2_periodic,
     fft2,

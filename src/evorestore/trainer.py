@@ -29,7 +29,7 @@ import numpy as np
 
 from .degrade import PSNR_CAP_DB, PairedDataset
 from .errors import ConfigError, DivergenceError
-from .eos import EosConfig, EosTrace, search_weights, validate
+from .eos import EosConfig, search_weights, validate
 from .fmm import (
     FmmParams,
     apply_update,
@@ -39,7 +39,7 @@ from .fmm import (
     zero_grads,
 )
 from .losses import DEFAULT_CHARBONNIER_EPS, MsSsimConfig, WeightPair, combined_loss
-from .util import stacks, write_csv
+from .util import stacks
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -191,7 +191,7 @@ def train(
         for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
             acts = fmm_forward(x, params)
             lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps, ms_cfg)
-            grads.scaled_add(fmm_backward(acts, params, g_out))
+            grads.add(fmm_backward(acts, params, g_out))
             fid_sum += float(np.sum(lv.fidelity))
             perc_sum += float(np.sum(lv.perceptual))
             comb_sum += float(np.sum(lv.combined))
@@ -289,56 +289,3 @@ def evaluate(
     table = [reduce(k, kinds == k) for k in sorted(set(kinds.tolist()))]
     table.append(reduce("all", slice(None)))
     return table
-
-
-TRACE_HEADER = ("iteration", "loss_fid", "loss_perc", "loss_combined", "alpha", "beta", "lr")
-EVAL_HEADER = ("iteration", "psnr", "ssim", "loss_fid", "loss_perc")
-METRICS_HEADER = (
-    "split",
-    "kind",
-    "count",
-    "capped",
-    "psnr_mean",
-    "ssim_mean",
-    "fid_mean",
-    "perc_mean",
-)
-
-
-def write_trace_csv(path, trace: TrainTrace) -> None:
-    write_csv(
-        path,
-        TRACE_HEADER,
-        [
-            (r.iteration, r.loss_fid, r.loss_perc, r.loss_combined, r.alpha, r.beta, r.lr)
-            for r in trace.rows
-        ],
-    )
-
-
-def write_eval_csv(path, trace: TrainTrace) -> None:
-    write_csv(
-        path,
-        EVAL_HEADER,
-        [(e.iteration, e.psnr, e.ssim, e.loss_fid, e.loss_perc) for e in trace.evals],
-    )
-
-
-def write_metrics_csv(path, table) -> None:
-    write_csv(
-        path,
-        METRICS_HEADER,
-        [
-            (
-                r.split,
-                r.kind,
-                r.count,
-                r.capped,
-                r.psnr_mean,
-                r.ssim_mean,
-                r.fid_mean,
-                r.perc_mean,
-            )
-            for r in table
-        ],
-    )

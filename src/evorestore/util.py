@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,3 +52,9 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
         lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_records(path, cls, records: Iterable) -> None:
+    """Write dataclass records as CSV: one column per field of `cls`, in field order."""
+    names = [f.name for f in fields(cls)]
+    write_csv(path, names, ([getattr(r, n) for n in names] for r in records))

@@ -206,8 +206,8 @@ def convergence_runs():
     """
     images = synthetic_clean_images(30, 48, 48, seed=5)
     specs = (
-        DegradationSpec.noise(sigma=0.30, seed=100),
-        DegradationSpec.blur(kernel_sigma=0.8, seed=200),
+        DegradationSpec("noise", sigma=0.30, seed=100),
+        DegradationSpec("blur", kernel_sigma=0.8, seed=200),
     )
     dataset = build_dataset(images, specs, SplitConfig(0.2, 0.0, 9))
     t0 = time.perf_counter()

@@ -1,12 +1,20 @@
 """Command-line interface and config parsing, exercised in-process via main()."""
 
 import shutil
+import dataclasses
 
 import pytest
 
 from evorestore import cli, oracles
-from evorestore.config import documented_keys, load_config, parse_degradation_specs
+from evorestore.config import (
+    DatasetConfig,
+    documented_keys,
+    load_config,
+    parse_degradation_specs,
+)
+from evorestore.eos import EosConfig
 from evorestore.errors import ConfigError
+from evorestore.trainer import TrainConfig
 
 SPECS = "degradation.specs=noise(sigma=0.1,seed=5);blur(kernel_sigma=1.0,seed=6)"
 
@@ -88,6 +96,13 @@ def test_documented_keys_cover_all_sections():
     for expected in ("trainer.iterations", "eos.population", "dataset.manifest",
                      "degradation.specs"):
         assert expected in keys
+
+
+def test_config_keys_are_the_config_dataclass_fields():
+    expected = {"degradation.specs"}
+    for section, cls in (("trainer", TrainConfig), ("eos", EosConfig), ("dataset", DatasetConfig)):
+        expected |= {f"{section}.{f.name}" for f in dataclasses.fields(cls) if f.name != "eos"}
+    assert {k for k, _ in documented_keys()} == expected
 
 
 def test_degrade_is_reproducible(tmp_path):

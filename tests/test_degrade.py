@@ -26,19 +26,19 @@ def flat(v=0.5, n=32):
 
 
 def test_noise_statistics_and_determinism():
-    spec = DegradationSpec.noise(sigma=0.1, seed=3)
+    spec = DegradationSpec("noise", sigma=0.1, seed=3)
     out1 = apply_degradation(flat(n=64), spec)
     out2 = apply_degradation(flat(n=64), spec)
     assert np.array_equal(out1, out2)
     resid = out1 - 0.5
     assert abs(resid.std() - 0.1) < 0.01
     assert out1.min() >= 0.0 and out1.max() <= 1.0
-    out3 = apply_degradation(flat(n=64), DegradationSpec.noise(sigma=0.1, seed=4))
+    out3 = apply_degradation(flat(n=64), DegradationSpec("noise", sigma=0.1, seed=4))
     assert not np.array_equal(out1, out3)
 
 
 def test_blur_preserves_constants_and_mean():
-    spec = DegradationSpec.blur(kernel_sigma=1.5, seed=0)
+    spec = DegradationSpec("blur", kernel_sigma=1.5, seed=0)
     assert np.max(np.abs(apply_degradation(flat(0.3), spec) - 0.3)) < 1e-12
     rng = np.random.default_rng(5)
     img = rng.uniform(0.1, 0.9, (24, 24))
@@ -49,23 +49,23 @@ def test_blur_preserves_constants_and_mean():
 
 
 def test_haze_formula():
-    spec = DegradationSpec.haze(t0=1.0, airlight=0.9, seed=0)
+    spec = DegradationSpec("haze", t0=1.0, airlight=0.9, seed=0)
     img = np.random.default_rng(0).uniform(0, 1, (16, 16))
     assert np.max(np.abs(apply_degradation(img, spec) - img)) < 1e-12
-    spec = DegradationSpec.haze(t0=0.4, airlight=1.0, seed=0)
+    spec = DegradationSpec("haze", t0=0.4, airlight=1.0, seed=0)
     out = apply_degradation(flat(0.5, 16), spec)
     assert np.max(np.abs(out - 0.8)) < 1e-12  # 0.4*0.5 + 0.6*1.0
 
 
 def test_lowlight_formula():
-    spec = DegradationSpec.lowlight(gamma=2.2, scale=0.5, seed=0)
+    spec = DegradationSpec("lowlight", gamma=2.2, scale=0.5, seed=0)
     assert np.max(np.abs(apply_degradation(np.ones((8, 8)), spec) - 0.5)) < 1e-12
-    spec = DegradationSpec.lowlight(gamma=2.0, scale=0.8, seed=0)
+    spec = DegradationSpec("lowlight", gamma=2.0, scale=0.8, seed=0)
     assert np.max(np.abs(apply_degradation(flat(0.25, 8), spec) - 0.05)) < 1e-12
 
 
 def test_rain_adds_deterministic_streaks():
-    spec = DegradationSpec.rain(count=12, angle_deg=70.0, intensity=0.3, seed=8)
+    spec = DegradationSpec("rain", count=12, angle_deg=70.0, intensity=0.3, seed=8)
     img = flat(0.2, 48)
     out1 = apply_degradation(img, spec)
     out2 = apply_degradation(img, spec)
@@ -77,18 +77,35 @@ def test_rain_adds_deterministic_streaks():
 
 def test_degradation_rejects_out_of_range_input():
     with pytest.raises(NumericIntegrityError):
-        apply_degradation(flat(1.5), DegradationSpec.noise(sigma=0.1))
+        apply_degradation(flat(1.5), DegradationSpec("noise", sigma=0.1))
 
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        DegradationSpec.noise(sigma=-0.1).validate()
+        DegradationSpec("noise", sigma=-0.1).validate()
     with pytest.raises(ConfigError):
-        DegradationSpec.haze(t0=1.4, airlight=0.9).validate()
+        DegradationSpec("haze", t0=1.4, airlight=0.9).validate()
     with pytest.raises(ConfigError):
-        DegradationSpec.rain(count=0, angle_deg=70, intensity=0.3).validate()
+        DegradationSpec("rain", count=0, angle_deg=70, intensity=0.3).validate()
     with pytest.raises(ConfigError):
         DegradationSpec("fog", seed=0).validate()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DegradationSpec("blur", kernel_sigma=math.inf),
+        DegradationSpec("rain", count=3, angle_deg=math.nan, intensity=0.3),
+        DegradationSpec("noise", sigma=math.inf),
+        DegradationSpec("lowlight", gamma=math.inf, scale=0.5),
+    ],
+    ids=["blur-inf", "rain-nan", "noise-inf", "lowlight-inf"],
+)
+def test_non_finite_spec_is_a_config_error(spec):
+    with pytest.raises(ConfigError, match="must be finite"):
+        apply_degradation(flat(), spec)
+    with pytest.raises(ConfigError, match="must be finite"):
+        build_dataset([flat()], [spec], SplitConfig())
 
 
 def test_psnr_reference_points():
@@ -106,7 +123,7 @@ def test_psnr_monotone_in_noise_level():
     img = rng.uniform(0.2, 0.8, (32, 32))
     values = []
     for sigma in (0.02, 0.05, 0.1, 0.2):
-        out = apply_degradation(img, DegradationSpec.noise(sigma=sigma, seed=2))
+        out = apply_degradation(img, DegradationSpec("noise", sigma=sigma, seed=2))
         values.append(psnr(out, img))
     assert values == sorted(values, reverse=True)
 
@@ -115,7 +132,7 @@ def test_ssim_wrapper():
     rng = np.random.default_rng(2)
     img = rng.uniform(0, 1, (32, 32))
     assert abs(ssim_index(img, img) - 1.0) < 1e-12
-    noisy = apply_degradation(img, DegradationSpec.noise(sigma=0.1, seed=1))
+    noisy = apply_degradation(img, DegradationSpec("noise", sigma=0.1, seed=1))
     assert abs(ssim_index(img, noisy) - ssim_index(noisy, img)) < 1e-12
     assert ssim_index(img, noisy) < 1.0
 
@@ -134,8 +151,8 @@ def test_synthetic_clean_images():
 def make_dataset(n_images=10, seed=9):
     images = synthetic_clean_images(n_images, 24, 24, seed=1)
     specs = (
-        DegradationSpec.noise(sigma=0.1, seed=50),
-        DegradationSpec.blur(kernel_sigma=1.0, seed=60),
+        DegradationSpec("noise", sigma=0.1, seed=50),
+        DegradationSpec("blur", kernel_sigma=1.0, seed=60),
     )
     return build_dataset(images, specs, SplitConfig(0.2, 0.0, seed))
 

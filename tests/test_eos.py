@@ -7,9 +7,8 @@ import pytest
 
 from evorestore import fmm
 from evorestore.eos import (
+    CandidateRecord,
     EosConfig,
-    SUMMARY_HEADER,
-    TRACE_HEADER,
     WeightPair,
     eos_overhead_report,
     evaluate_fitness,
@@ -20,10 +19,10 @@ from evorestore.eos import (
     val_losses,
     validate,
     write_summary_csv,
-    write_trace_csv,
 )
 from evorestore.errors import ConfigError, NumericIntegrityError
 from evorestore.grids import identity_kernel
+from evorestore.util import write_records
 
 
 def sort_projection_oracle(v):
@@ -293,13 +292,14 @@ def test_trace_csv_schema(tmp_path):
     _, trace = run_eos(params, rigged_pairs("offset"), cfg, trigger_index=1)
     tp = tmp_path / "eos_trace.csv"
     sp = tmp_path / "eos_summary.csv"
-    write_trace_csv(tp, [trace])
+    write_records(tp, CandidateRecord, trace.records)
     write_summary_csv(sp, [trace])
     lines = tp.read_text().strip().split("\n")
-    assert lines[0] == ",".join(TRACE_HEADER)
+    assert lines[0] == "trigger,generation,candidate,alpha,beta,fitness,is_elite,is_winner"
     assert len(lines) == 1 + 8  # population x generations rows
+    assert all(line.startswith("1,") for line in lines[1:])
     slines = sp.read_text().strip().split("\n")
-    assert slines[0] == ",".join(SUMMARY_HEADER)
+    assert slines[0] == "trigger,winner_alpha,winner_beta,eval_ms,total_ms,evaluations"
     assert len(slines) == 2
     assert slines[1].startswith("1,")
 

@@ -144,7 +144,7 @@ def test_stack_matches_per_image(mask_mode, spatial_mode, h, w):
     for n in range(3):
         one = fmm.fmm_forward(xs[n], p)
         assert np.max(np.abs(acts.y_hat[n] - one.y_hat)) <= 1e-12
-        summed.scaled_add(fmm.fmm_backward(one, p, one.y_hat - targets[n]))
+        summed.add(fmm.fmm_backward(one, p, one.y_hat - targets[n]))
     for got, want in (
         (grads.lowpass, summed.lowpass),
         (grads.spectral_logits, summed.spectral_logits),

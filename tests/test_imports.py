@@ -1,0 +1,38 @@
+"""Static check: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "evorestore"
+
+
+def _imported(tree):
+    """(bound name, line) for every import except `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield (a.asname or a.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield (a.asname or a.name), node.lineno
+
+
+def _used(tree):
+    """Names read anywhere in the module, and names it re-exports through __all__."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -8,17 +8,14 @@ from evorestore.degrade import DegradationSpec, SplitConfig, build_dataset, synt
 from evorestore.eos import EosConfig, validate
 from evorestore.errors import ConfigError, DivergenceError
 from evorestore.trainer import (
-    EVAL_HEADER,
-    METRICS_HEADER,
-    TRACE_HEADER,
+    EvalPoint,
+    IterationRow,
+    MetricsRow,
     TrainConfig,
     evaluate,
     train,
-    write_eval_csv,
-    write_metrics_csv,
-    write_trace_csv,
 )
-from evorestore.util import STACK_PIXELS, stacks
+from evorestore.util import STACK_PIXELS, stacks, write_records
 
 NO_TRIGGER = 10**6
 
@@ -26,8 +23,8 @@ NO_TRIGGER = 10**6
 def small_dataset(n_images=6, size=24):
     images = synthetic_clean_images(n_images, size, size, seed=2)
     specs = (
-        DegradationSpec.noise(sigma=0.1, seed=30),
-        DegradationSpec.blur(kernel_sigma=1.0, seed=40),
+        DegradationSpec("noise", sigma=0.1, seed=30),
+        DegradationSpec("blur", kernel_sigma=1.0, seed=40),
     )
     return build_dataset(images, specs, SplitConfig(0.2, 0.0, 7))
 
@@ -219,14 +216,14 @@ def test_csv_writers(tmp_path):
     ds = small_dataset()
     params, trace = train(ds, small_config(iterations=10, eos=EosConfig(4, 2, 1, 0.3, 5, 0)))
     tp, ep, mp = tmp_path / "t.csv", tmp_path / "e.csv", tmp_path / "m.csv"
-    write_trace_csv(tp, trace)
-    write_eval_csv(ep, trace)
-    write_metrics_csv(mp, evaluate(params, ds, "val"))
+    write_records(tp, IterationRow, trace.rows)
+    write_records(ep, EvalPoint, trace.evals)
+    write_records(mp, MetricsRow, evaluate(params, ds, "val"))
     tl = tp.read_text().strip().split("\n")
-    assert tl[0] == ",".join(TRACE_HEADER)
+    assert tl[0] == "iteration,loss_fid,loss_perc,loss_combined,alpha,beta,lr"
     assert len(tl) == 11
     el = ep.read_text().strip().split("\n")
-    assert el[0] == ",".join(EVAL_HEADER)
+    assert el[0] == "iteration,psnr,ssim,loss_fid,loss_perc"
     ml = mp.read_text().strip().split("\n")
-    assert ml[0] == ",".join(METRICS_HEADER)
+    assert ml[0] == "split,kind,count,capped,psnr_mean,ssim_mean,fid_mean,perc_mean"
     assert len(ml) == 4
