@@ -23,12 +23,18 @@ from .degrade import (
     synthetic_clean_images,
     write_dataset,
 )
-from .eos import CandidateRecord, eos_overhead_report, run_eos, write_summary_csv
+from .eos import (
+    CandidateRecord,
+    OverheadReport,
+    eos_overhead_report,
+    run_eos,
+    write_summary_csv,
+)
 from .errors import ConfigError, DimensionError, DivergenceError, NumericIntegrityError
 from .fmm import load_params, save_params
 from .losses import WeightPair
 from .trainer import EvalPoint, IterationRow, MetricsRow, evaluate, train
-from .util import write_csv, write_records
+from .util import write_records
 
 OUT_ENV = "EVORESTORE_OUT"
 
@@ -44,6 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"evorestore {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument(
+            "-o",
+            "--out",
+            default=os.environ.get(OUT_ENV, "."),
+            help=f"output directory (default: ${OUT_ENV} or cwd)",
+        )
+
     def common(p):
         p.add_argument("--config", help="key = value config file")
         p.add_argument(
@@ -54,12 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        p.add_argument(
-            "-o",
-            "--out",
-            default=os.environ.get(OUT_ENV, "."),
-            help=f"output directory (default: ${OUT_ENV} or cwd)",
-        )
+        output(p)
 
     p = sub.add_parser("degrade", help="build a paired degradation dataset")
     common(p)
@@ -87,12 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help=".fmmp parameter file")
 
     p = sub.add_parser("oracle", help="run the independent verification suite")
-    common(p)
     p.add_argument("--only", help="substring filter on check names")
     p.add_argument("--fast", action="store_true", help="reduced trial counts")
 
     p = sub.add_parser("report", help="summarize a training run directory")
-    common(p)
+    output(p)
     p.add_argument("--run", required=True, help="directory written by `train`")
     p.add_argument(
         "--svg", action="store_true", help="also render SVG line charts (CSV stays primary)"
@@ -203,7 +211,7 @@ def _cmd_eos_trace(args) -> int:
         print(f"{g:>10}  {best:>18.12f}")
     print(
         f"winner: alpha {winner.alpha:.6f}, beta {winner.beta:.6f} "
-        f"({trace.evaluations} evaluations, {trace.total_wall_ms:.1f} ms)"
+        f"({trace.evaluations} evaluations, {trace.total_ms:.1f} ms)"
     )
     return 0
 
@@ -252,12 +260,8 @@ def _number(text, parse, where) -> float:
     return value
 
 
-# eos_summary.csv column -> (EosTrace attribute read by eos_overhead_report, parser)
-_SUMMARY_COLUMNS = {
-    "eval_ms": ("eval_wall_ms", float),
-    "total_ms": ("total_wall_ms", float),
-    "evaluations": ("evaluations", int),
-}
+# eos_summary.csv column (an EosTrace attribute eos_overhead_report reads) -> parser
+_SUMMARY_COLUMNS = {"eval_ms": float, "total_ms": float, "evaluations": int}
 
 
 def _read_eos_summary(path) -> list:
@@ -271,8 +275,8 @@ def _read_eos_summary(path) -> list:
         if len(row) != len(header):
             raise ConfigError(f"{path}:{lineno}: {len(row)} fields, header has {len(header)}")
         fields = {
-            attr: _number(row[header.index(name)], parse, f"{path}:{lineno}: column {name!r}")
-            for name, (attr, parse) in _SUMMARY_COLUMNS.items()
+            name: _number(row[header.index(name)], parse, f"{path}:{lineno}: column {name!r}")
+            for name, parse in _SUMMARY_COLUMNS.items()
         }
         records.append(SimpleNamespace(**fields))
     return records
@@ -286,33 +290,11 @@ def _cmd_report(args) -> int:
     records = _read_eos_summary(os.path.join(run_dir, "eos_summary.csv"))
     report = eos_overhead_report(records, train_wall_ms)
     os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, "overhead.csv"),
-        (
-            "triggers",
-            "evaluations",
-            "eval_ms",
-            "residual_ms",
-            "total_ms",
-            "train_wall_ms",
-            "pct_of_train",
-        ),
-        [
-            (
-                report.triggers,
-                report.evaluations,
-                report.eval_ms,
-                report.residual_ms,
-                report.total_ms,
-                report.epoch_ms,
-                report.pct_of_epoch,
-            )
-        ],
-    )
+    write_records(os.path.join(args.out, "overhead.csv"), OverheadReport, [report])
     print(
         f"{report.triggers} triggers, {report.evaluations} evaluations; "
         f"search wall {report.total_ms:.1f} ms (eval {report.eval_ms:.1f} ms) = "
-        f"{report.pct_of_epoch:.2f}% of training wall {report.epoch_ms:.1f} ms"
+        f"{report.pct_of_train:.2f}% of training wall {report.train_wall_ms:.1f} ms"
     )
     if args.svg:
         _render_svg(run_dir, args.out)

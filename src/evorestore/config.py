@@ -4,7 +4,8 @@ Every key is registered below with its parser; unknown keys — from the file or
 from `--set` overrides — raise ConfigError. The same keys back both the config
 file and overrides. The `trainer.*`, `eos.*` and `dataset.*` keys are the
 fields of TrainConfig, EosConfig and DatasetConfig, each parsed by its
-annotation; `degradation.specs` is the one key registered by hand.
+annotation; `degradation.specs` is the one key registered by hand, and each
+parameter of a spec is parsed by the annotation of its DegradationSpec field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
-from .degrade import DegradationSpec, SplitConfig
+from .degrade import KIND_FIELDS, DegradationSpec, SplitConfig
 from .eos import EosConfig
 from .errors import ConfigError
 from .trainer import TrainConfig
@@ -48,15 +49,17 @@ def _parse_freeze(v: str) -> tuple:
     return items
 
 
-_SPEC_RE = re.compile(r"^\s*(\w+)\s*\(([^)]*)\)\s*$")
-
-_SPEC_PARAMS = {
-    "noise": {"sigma": float, "seed": int},
-    "blur": {"kernel_sigma": float, "seed": int},
-    "haze": {"t0": float, "airlight": float, "seed": int},
-    "lowlight": {"gamma": float, "scale": float, "seed": int},
-    "rain": {"count": int, "angle_deg": float, "intensity": float, "seed": int},
+# field annotation -> parser; annotations are strings (PEP 563)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": _parse_optional_int,
+    "tuple": _parse_freeze,
 }
+
+_SPEC_RE = re.compile(r"^\s*(\w+)\s*\(([^)]*)\)\s*$")
+_SPEC_TYPES = {f.name: f.type for f in fields(DegradationSpec)}
 
 
 def parse_degradation_specs(text: str) -> tuple:
@@ -70,7 +73,7 @@ def parse_degradation_specs(text: str) -> tuple:
         if not m:
             raise ConfigError(f"malformed degradation spec {chunk!r}")
         kind, arg_text = m.group(1), m.group(2)
-        if kind not in _SPEC_PARAMS:
+        if kind not in KIND_FIELDS:
             raise ConfigError(f"unknown degradation kind {kind!r}")
         kwargs = {}
         for pair in arg_text.split(","):
@@ -81,9 +84,9 @@ def parse_degradation_specs(text: str) -> tuple:
                 raise ConfigError(f"degradation parameter {pair!r} must be name=value")
             name, _, raw = pair.partition("=")
             name = name.strip()
-            if name not in _SPEC_PARAMS[kind]:
+            if name not in KIND_FIELDS[kind]:
                 raise ConfigError(f"unknown parameter {name!r} for kind {kind!r}")
-            kwargs[name] = _SPEC_PARAMS[kind][name](raw.strip())
+            kwargs[name] = _PARSERS[_SPEC_TYPES[name]](raw.strip())
         spec = DegradationSpec(kind=kind, **kwargs)
         spec.validate()
         specs.append(spec)
@@ -91,15 +94,6 @@ def parse_degradation_specs(text: str) -> tuple:
         raise ConfigError("degradation.specs is empty")
     return tuple(specs)
 
-
-# field annotation -> parser; annotations are strings (PEP 563)
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "int | None": _parse_optional_int,
-    "tuple": _parse_freeze,
-}
 
 # key -> (section, field, parser); sections address the nested dataclasses
 _KEYS = {"degradation.specs": ("degradation", "specs", parse_degradation_specs)}

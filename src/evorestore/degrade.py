@@ -16,6 +16,7 @@ train/validation/test splits (equal validation counts per kind).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -31,7 +32,15 @@ from .grids import (
     write_fgrid,
 )
 
-KINDS = ("noise", "blur", "haze", "lowlight", "rain")
+# kind -> the DegradationSpec fields it reads; every other field keeps its default
+KIND_FIELDS = {
+    "noise": ("sigma", "seed"),
+    "blur": ("kernel_sigma", "seed"),
+    "haze": ("t0", "airlight", "seed"),
+    "lowlight": ("gamma", "scale", "seed"),
+    "rain": ("count", "angle_deg", "intensity", "seed"),
+}
+KINDS = tuple(KIND_FIELDS)
 
 PSNR_CAP_DB = 99.0
 
@@ -53,10 +62,16 @@ class DegradationSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown degradation kind {self.kind!r}")
-        for f in fields(self):
+        for f in fields(self)[1:]:  # every field after `kind`
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if f.type == "int" else numbers.Real
+            ):
+                raise ConfigError(f"{self.kind} {f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{self.kind} {f.name} must be finite, got {value}")
+            if f.name not in KIND_FIELDS[self.kind] and value != f.default:
+                raise ConfigError(f"unknown parameter {f.name!r} for kind {self.kind!r}")
         if self.kind == "noise" and not self.sigma > 0:
             raise ConfigError(f"noise sigma must be > 0, got {self.sigma}")
         if self.kind == "blur" and not self.kernel_sigma > 0:
@@ -294,15 +309,16 @@ class PairedDataset:
         if tr | va | te != set(range(len(self.pairs))):
             raise ConfigError("splits do not cover the dataset exactly")
 
-    def train_pairs(self):
-        return [self.pairs[i] for i in self.train_idx]
-
-    def restoration_pairs(self, split: str = "val"):
-        """(degraded, clean) tuples for the given split, in index order."""
+    def rows(self, split: str) -> list:
+        """The PairRows of one split ("train", "val" or "test"), in index order."""
         idx = {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}
         if split not in idx:
             raise ConfigError(f"unknown split {split!r}")
-        return [(self.pairs[i].degraded, self.pairs[i].clean) for i in idx[split]]
+        return [self.pairs[i] for i in idx[split]]
+
+    def restoration_pairs(self, split: str = "val"):
+        """(degraded, clean) tuples for the given split, in index order."""
+        return [(r.degraded, r.clean) for r in self.rows(split)]
 
 
 def _stratified_split(kinds: list, split: SplitConfig):

@@ -21,16 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degrade import psnr
+from .degrade import PSNR_CAP_DB, psnr
 from .errors import ConfigError, NumericIntegrityError
 from .fmm import FmmParams, fmm_forward
-from .losses import (
-    DEFAULT_CHARBONNIER_EPS,
-    MsSsimConfig,
-    WeightPair,
-    charbonnier,
-    ssim_and_ms_ssim,
-)
+from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier, ssim_and_ms_ssim
 from .util import stacks, write_csv
 
 __all__ = [
@@ -122,8 +116,8 @@ class EosTrace:
     best_per_generation: list
     winner: WeightPair
     evaluations: int
-    eval_wall_ms: float
-    total_wall_ms: float
+    eval_ms: float  # the validation pass behind the search
+    total_ms: float  # the pass plus the search itself
     records: list = field(default_factory=list)
 
 
@@ -145,18 +139,30 @@ class ValidationTable:
         """Mean (fidelity, perceptual) over the pairs: the search's two inputs."""
         return float(np.mean(self.fid)), float(np.mean(self.perc))
 
+    def summary(self, sel):
+        """(count, capped, then the psnr, ssim, fid and perc means) of the pairs `sel` picks.
 
-def validate(
-    params: FmmParams,
-    pairs,
-    eps: float = DEFAULT_CHARBONNIER_EPS,
-    ms_cfg: MsSsimConfig | None = None,
-) -> ValidationTable:
+        The one PSNR averaging policy: +inf entries (exact restorations) are
+        left out of the mean and counted as `capped`; if every entry is +inf
+        the mean reads PSNR_CAP_DB.
+        """
+        psnr_sel = self.psnr[sel]
+        finite = psnr_sel[np.isfinite(psnr_sel)]
+        return (
+            int(psnr_sel.size),
+            int(psnr_sel.size - finite.size),
+            float(np.mean(finite)) if finite.size else PSNR_CAP_DB,
+            float(np.mean(self.ssim[sel])),
+            float(np.mean(self.fid[sel])),
+            float(np.mean(self.perc[sel])),
+        )
+
+
+def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> ValidationTable:
     """Restore (degraded, clean) pairs with a frozen model and score each restoration.
 
     Pairs run through the operator and the losses as stacks (see
-    util.stacks). `ms_cfg` defaults to the MS-SSIM config for each stack's
-    grid shape.
+    util.stacks); MS-SSIM picks its scales from each stack's grid shape.
     """
     pairs = list(pairs)
     if not pairs:
@@ -165,26 +171,20 @@ def validate(
     for x, target in stacks([p[0] for p in pairs], [p[1] for p in pairs]):
         y = fmm_forward(x, params).y_hat
         cols[0].append(psnr(y, target))
-        cfg = ms_cfg if ms_cfg is not None else MsSsimConfig.for_shape(*x.shape[-2:])
-        ssim, ms = ssim_and_ms_ssim(y, target, cfg)
+        ssim, ms = ssim_and_ms_ssim(y, target)
         cols[1].append(ssim)
         cols[2].append(charbonnier(y, target, eps)[0])
         cols[3].append(1.0 - ms)
     return ValidationTable(*(np.concatenate(c) for c in cols))
 
 
-def val_losses(
-    params: FmmParams,
-    val_set,
-    eps: float = DEFAULT_CHARBONNIER_EPS,
-    ms_cfg: MsSsimConfig | None = None,
-):
+def val_losses(params: FmmParams, val_set, eps: float = DEFAULT_CHARBONNIER_EPS):
     """Mean (fidelity, perceptual) over (degraded, clean) validation pairs.
 
     The restorations depend only on the frozen model, never on the candidate
     weights, so these two means are all that search_weights needs.
     """
-    return validate(params, val_set, eps, ms_cfg).loss_means()
+    return validate(params, val_set, eps).loss_means()
 
 
 def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
@@ -196,14 +196,13 @@ def evaluate_fitness(
     params: FmmParams,
     val_set,
     eps: float = DEFAULT_CHARBONNIER_EPS,
-    ms_cfg: MsSsimConfig | None = None,
 ) -> float:
     """Negated mean weighted validation loss of `candidate` under a frozen model.
 
     Affine in (alpha, beta); deterministic and bit-identical for identical
     inputs (no randomness anywhere in the evaluation path).
     """
-    mean_fid, mean_perc = val_losses(params, val_set, eps, ms_cfg)
+    mean_fid, mean_perc = val_losses(params, val_set, eps)
     return _fitness(candidate, mean_fid, mean_perc)
 
 
@@ -220,13 +219,12 @@ def run_eos(
     *,
     trigger_index: int = 0,
     eps: float = DEFAULT_CHARBONNIER_EPS,
-    ms_cfg: MsSsimConfig | None = None,
 ):
     """One search trigger on a read-only model: val_losses, then search_weights."""
     t0 = time.perf_counter()
-    means = val_losses(params, val_set, eps, ms_cfg)
-    val_ms = (time.perf_counter() - t0) * 1e3
-    return search_weights(*means, cfg, init, trigger_index=trigger_index, val_ms=val_ms)
+    means = val_losses(params, val_set, eps)
+    eval_ms = (time.perf_counter() - t0) * 1e3
+    return search_weights(*means, cfg, init, trigger_index=trigger_index, eval_ms=eval_ms)
 
 
 def search_weights(
@@ -236,14 +234,14 @@ def search_weights(
     init=(),
     *,
     trigger_index: int = 0,
-    val_ms: float = 0.0,
+    eval_ms: float = 0.0,
 ):
     """Search the simplex against two validation means; returns (winner, EosTrace).
 
     `init` may hold up to `population` starting candidates (already on the
     simplex), topped up with seeded-uniform simplex draws; deterministic given
-    cfg.seed. `val_ms`, the time of the validation pass behind the means, is
-    added to the trace's eval and total times.
+    cfg.seed. `eval_ms`, the time of the validation pass behind the means, is
+    the trace's eval time and part of its total time.
     """
     cfg.validate()
     init = list(init)
@@ -261,15 +259,11 @@ def search_weights(
         sample_simplex(rng) for _ in range(cfg.population - len(init))
     ]
 
-    eval_ms = val_ms
     records: list[CandidateRecord] = []
     best_per_generation: list[float] = []
     order = None
     for g in range(cfg.generations):
-        t0 = time.perf_counter()
         fits = [_fitness(c, mean_fid, mean_perc) for c in pop]
-        eval_ms += (time.perf_counter() - t0) * 1e3
-
         order = sorted(range(len(pop)), key=lambda i: (-fits[i], i))
         elite_idx = set(order[: cfg.elites])
         best_per_generation.append(fits[order[0]])
@@ -306,14 +300,13 @@ def search_weights(
             f"best fitness decreased across generations: {best_per_generation}"
         )
 
-    total_ms = val_ms + (time.perf_counter() - t_total) * 1e3
     trace = EosTrace(
         trigger_index=trigger_index,
         best_per_generation=best_per_generation,
         winner=winner,
         evaluations=cfg.population * cfg.generations,
-        eval_wall_ms=eval_ms,
-        total_wall_ms=total_ms,
+        eval_ms=eval_ms,
+        total_ms=eval_ms + (time.perf_counter() - t_total) * 1e3,
         records=records,
     )
     return winner, trace
@@ -331,23 +324,23 @@ class OverheadReport:
     eval_ms: float
     residual_ms: float
     total_ms: float
-    epoch_ms: float
-    pct_of_epoch: float
+    train_wall_ms: float
+    pct_of_train: float
 
 
-def eos_overhead_report(traces, epoch_wall_ms: float) -> OverheadReport:
+def eos_overhead_report(traces, train_wall_ms: float) -> OverheadReport:
     """Aggregate wall-clock accounting; eval_ms + residual_ms == total_ms exactly."""
     traces = list(traces)
-    total = sum(t.total_wall_ms for t in traces)
-    eval_ms = sum(t.eval_wall_ms for t in traces)
+    total = sum(t.total_ms for t in traces)
+    eval_ms = sum(t.eval_ms for t in traces)
     return OverheadReport(
         triggers=len(traces),
         evaluations=sum(t.evaluations for t in traces),
         eval_ms=eval_ms,
         residual_ms=total - eval_ms,
         total_ms=total,
-        epoch_ms=epoch_wall_ms,
-        pct_of_epoch=(100.0 * total / epoch_wall_ms) if epoch_wall_ms > 0 else 0.0,
+        train_wall_ms=train_wall_ms,
+        pct_of_train=(100.0 * total / train_wall_ms) if train_wall_ms > 0 else 0.0,
     )
 
 
@@ -367,8 +360,8 @@ def write_summary_csv(path, traces) -> None:
             t.trigger_index,
             t.winner.alpha,
             t.winner.beta,
-            t.eval_wall_ms,
-            t.total_wall_ms,
+            t.eval_ms,
+            t.total_ms,
             t.evaluations,
         )
         for t in traces

@@ -154,31 +154,28 @@ def default_params(
     n_bins: int = 8,
 ) -> FmmParams:
     """Fresh parameters: Gaussian lowpass init, all logits zero (masks 0.5)."""
-    if mask_mode not in MASK_MODES:
-        raise ConfigError(f"unknown mask_mode {mask_mode!r}")
-    if spatial_mode not in SPATIAL_MODES:
-        raise ConfigError(f"unknown spatial_mode {spatial_mode!r}")
-    lowpass = gaussian_kernel(kernel_size, kernel_sigma)
-    if mask_mode == MASK_PER_FREQUENCY:
-        spectral = np.zeros((height, width))
-    else:
-        if n_bins < 2:
-            raise ConfigError(f"radial_bins needs n_bins >= 2, got {n_bins}")
-        spectral = np.zeros(n_bins)
-    if spatial_mode == SPATIAL_PER_PIXEL:
-        spatial = np.zeros((height, width))
-    else:
-        spatial = np.zeros(2)
-    return FmmParams(lowpass, mask_mode, spectral, spatial_mode, spatial)
+    grid = (height, width)
+    p = FmmParams(
+        gaussian_kernel(kernel_size, kernel_sigma),
+        mask_mode,
+        np.zeros(grid if mask_mode == MASK_PER_FREQUENCY else n_bins),
+        spatial_mode,
+        np.zeros(grid if spatial_mode == SPATIAL_PER_PIXEL else 2),
+    )
+    validate_params(p, height, width)
+    return p
 
 
-def validate_params(p: FmmParams, h: int, w: int) -> None:
+def validate_params(p: FmmParams, h: int | None = None, w: int | None = None) -> None:
+    """Check the modes and block shapes of `p`; the per-element blocks against (h, w) if given.
+
+    The one statement of which modes exist and what shape each block has:
+    default_params, fmm_forward and the FMMP writer and parser call it.
+    Raises ConfigError for an unknown mode and DimensionError for a bad shape.
+    """
     as_kernel(p.lowpass)
     if p.mask_mode == MASK_PER_FREQUENCY:
-        if p.spectral_logits.shape != (h, w):
-            raise DimensionError(
-                f"per_frequency logits shape {p.spectral_logits.shape} != grid {(h, w)}"
-            )
+        _check_grid_block("per_frequency", p.spectral_logits, h, w)
     elif p.mask_mode == MASK_RADIAL_BINS:
         if p.spectral_logits.ndim != 1 or p.spectral_logits.shape[0] < 2:
             raise DimensionError(
@@ -187,10 +184,7 @@ def validate_params(p: FmmParams, h: int, w: int) -> None:
     else:
         raise ConfigError(f"unknown mask_mode {p.mask_mode!r}")
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        if p.spatial_logits.shape != (h, w):
-            raise DimensionError(
-                f"per_pixel logits shape {p.spatial_logits.shape} != grid {(h, w)}"
-            )
+        _check_grid_block("per_pixel", p.spatial_logits, h, w)
     elif p.spatial_mode == SPATIAL_GAP_AFFINE:
         if p.spatial_logits.shape != (2,):
             raise DimensionError(
@@ -198,6 +192,13 @@ def validate_params(p: FmmParams, h: int, w: int) -> None:
             )
     else:
         raise ConfigError(f"unknown spatial_mode {p.spatial_mode!r}")
+
+
+def _check_grid_block(mode: str, logits: np.ndarray, h, w) -> None:
+    """A per-element logit block is 2-D, and shaped like the grid when one is given."""
+    if logits.ndim != 2 or (h is not None and logits.shape != (h, w)):
+        grid = "(H, W)" if h is None else (h, w)
+        raise DimensionError(f"{mode} logits shape {logits.shape} != grid {grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +299,6 @@ def spatial_gate(high, p: FmmParams):
     """
     high = as_grids(high)
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        if p.spatial_logits.shape != high.shape[-2:]:
-            raise DimensionError(
-                f"per_pixel logits shape {p.spatial_logits.shape} != grid {high.shape[-2:]}"
-            )
         m = sigmoid(p.spatial_logits)
         return m * high, m, None
     a, b = p.spatial_logits
@@ -431,11 +428,7 @@ FMMP_VERSION = 1
 
 
 def params_to_bytes(p: FmmParams) -> bytes:
-    as_kernel(p.lowpass)
-    if p.mask_mode not in MASK_MODES:
-        raise ConfigError(f"unknown mask_mode {p.mask_mode!r}")
-    if p.spatial_mode not in SPATIAL_MODES:
-        raise ConfigError(f"unknown spatial_mode {p.spatial_mode!r}")
+    validate_params(p)
     buf = io.BytesIO()
     spec_shape = " ".join(str(d) for d in p.spectral_logits.shape)
     spat_shape = " ".join(str(d) for d in p.spatial_logits.shape)
@@ -480,10 +473,6 @@ def _parse_fmmp(data: bytes) -> FmmParams:
     ksize = int(fields["kernel"])
     spec_shape = tuple(int(v) for v in fields["spectral"].split())
     spat_shape = tuple(int(v) for v in fields["spatial"].split())
-    if mask_mode not in MASK_MODES or spatial_mode not in SPATIAL_MODES:
-        raise NumericIntegrityError(
-            f"FMMP header names unknown modes {mask_mode!r}/{spatial_mode!r}"
-        )
     if not (ksize >= 1 and ksize % 2 == 1) or not all(
         1 <= len(s) <= 2 and min(s) >= 1 for s in (spec_shape, spat_shape)
     ):
@@ -506,7 +495,9 @@ def _parse_fmmp(data: bytes) -> FmmParams:
         off += count * 8
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise NumericIntegrityError("FMMP payload holds NaN or infinite values")
-    return FmmParams(blocks[0], mask_mode, blocks[1], spatial_mode, blocks[2])
+    p = FmmParams(blocks[0], mask_mode, blocks[1], spatial_mode, blocks[2])
+    validate_params(p)  # a ConfigError or DimensionError is wrapped by params_from_bytes
+    return p
 
 
 def save_params(path, p: FmmParams) -> None:

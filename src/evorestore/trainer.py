@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .degrade import PSNR_CAP_DB, PairedDataset
+from .degrade import PairedDataset
 from .errors import ConfigError, DivergenceError
 from .eos import EosConfig, search_weights, validate
 from .fmm import (
@@ -38,7 +38,7 @@ from .fmm import (
     fmm_forward,
     zero_grads,
 )
-from .losses import DEFAULT_CHARBONNIER_EPS, MsSsimConfig, WeightPair, combined_loss
+from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, combined_loss
 from .util import stacks
 
 DIVERGENCE_LIMIT = 1e6
@@ -119,23 +119,13 @@ class TrainTrace:
     wall_ms: float = 0.0
 
 
-class _BatchSampler:
-    """Seeded epoch shuffler; batch = next slice of the current permutation."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.cursor = 0
-
-    def next_batch(self):
-        if self.cursor + self.batch_size > self.n:
-            self.order = self.rng.permutation(self.n)
-            self.cursor = 0
-        sel = self.order[self.cursor : self.cursor + self.batch_size]
-        self.cursor += self.batch_size
-        return list(sel)
+def _batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Endless batches: the whole consecutive slices of seeded per-epoch permutations."""
+    size = min(batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - size + 1, size):
+            yield order[start : start + size]
 
 
 def _dataset_shape(dataset: PairedDataset):
@@ -153,7 +143,8 @@ def train(
 ):
     """Run the loop; returns (trained FmmParams, TrainTrace)."""
     cfg.validate()
-    if not dataset.train_idx:
+    train_rows = dataset.rows("train")
+    if not train_rows:
         raise ConfigError("dataset has no training pairs")
     h, w = _dataset_shape(dataset)
     if params is None:
@@ -169,12 +160,8 @@ def train(
         )
     else:
         params = params.copy()
-    ms_cfg = MsSsimConfig.for_shape(h, w)
-    val_set = dataset.restoration_pairs("val") if dataset.val_idx else []
-    train_rows = dataset.train_pairs()
-
-    rng = np.random.default_rng(cfg.seed)
-    sampler = _BatchSampler(len(train_rows), cfg.batch_size, rng)
+    val_set = dataset.restoration_pairs("val")
+    batches = _batches(len(train_rows), cfg.batch_size, np.random.default_rng(cfg.seed))
     active = WeightPair(cfg.init_alpha, cfg.init_beta)
     trace = TrainTrace(weight_timeline=[(1, active.alpha, active.beta)])
     t_start = time.perf_counter()
@@ -185,12 +172,12 @@ def train(
         if cfg.lr_halve_at is not None and it > cfg.lr_halve_at:
             lr = cfg.learning_rate / 2.0
 
-        batch = [train_rows[i] for i in sampler.next_batch()]
+        batch = [train_rows[i] for i in next(batches)]
         grads = zero_grads(params)
         fid_sum = perc_sum = comb_sum = 0.0
         for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
             acts = fmm_forward(x, params)
-            lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps, ms_cfg)
+            lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps)
             grads.add(fmm_backward(acts, params, g_out))
             fid_sum += float(np.sum(lv.fidelity))
             perc_sum += float(np.sum(lv.perceptual))
@@ -210,10 +197,11 @@ def train(
         if val_set and (do_eval or do_search):
             # one validation pass serves the eval point and the search trigger
             t0 = time.perf_counter()
-            table = validate(params, val_set, cfg.charbonnier_eps, ms_cfg)
-            val_ms = (time.perf_counter() - t0) * 1e3
+            table = validate(params, val_set, cfg.charbonnier_eps)
+            eval_ms = (time.perf_counter() - t0) * 1e3
             if do_eval:
-                trace.evals.append(_eval_point(it, table))
+                _count, _capped, *means = table.summary(slice(None))
+                trace.evals.append(EvalPoint(it, *means))
             if do_search:
                 trigger += 1
                 active, eos_trace = search_weights(
@@ -221,22 +209,13 @@ def train(
                     replace(cfg.eos, seed=cfg.eos.seed + trigger),
                     init=[active],
                     trigger_index=trigger,
-                    val_ms=val_ms,
+                    eval_ms=eval_ms,
                 )
                 trace.eos_traces.append(eos_trace)
                 trace.weight_timeline.append((it + 1, active.alpha, active.beta))
 
     trace.wall_ms = (time.perf_counter() - t_start) * 1e3
     return params, trace
-
-
-def _eval_point(it, t) -> EvalPoint:
-    return EvalPoint(
-        it,
-        float(np.mean(np.minimum(t.psnr, PSNR_CAP_DB))),
-        float(np.mean(t.ssim)),
-        *t.loss_means(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +242,11 @@ def evaluate(
     eps: float = DEFAULT_CHARBONNIER_EPS,
 ) -> list:
     """Per-kind and aggregate restoration metrics on one split."""
-    idx = {"train": dataset.train_idx, "val": dataset.val_idx, "test": dataset.test_idx}
-    if split not in idx:
-        raise ConfigError(f"unknown split {split!r}")
-    rows = [dataset.pairs[i] for i in idx[split]]
+    rows = dataset.rows(split)
     if not rows:
         raise ConfigError(f"split {split!r} is empty")
     t = validate(params, [(r.degraded, r.clean) for r in rows], eps)
     kinds = np.array([r.kind for r in rows])
-
-    def reduce(kind, sel):
-        psnr = t.psnr[sel]
-        finite = psnr[np.isfinite(psnr)]
-        return MetricsRow(
-            split,
-            kind,
-            int(psnr.size),
-            int(psnr.size - finite.size),
-            float(np.mean(finite)) if finite.size else PSNR_CAP_DB,
-            float(np.mean(t.ssim[sel])),
-            float(np.mean(t.fid[sel])),
-            float(np.mean(t.perc[sel])),
-        )
-
-    table = [reduce(k, kinds == k) for k in sorted(set(kinds.tolist()))]
-    table.append(reduce("all", slice(None)))
+    table = [MetricsRow(split, k, *t.summary(kinds == k)) for k in sorted(set(kinds.tolist()))]
+    table.append(MetricsRow(split, "all", *t.summary(slice(None))))
     return table

@@ -280,13 +280,11 @@ def test_a6_search_overhead_accounting(convergence_runs):
         trace = arms["searched"][1]
         rep = eos_overhead_report(trace.eos_traces, trace.wall_ms)
         for t in trace.eos_traces:
-            residual = t.total_wall_ms - t.eval_wall_ms
-            worst_decomp = max(
-                worst_decomp, abs((t.eval_wall_ms + residual) - t.total_wall_ms)
-            )
-            assert 0.0 <= t.eval_wall_ms <= t.total_wall_ms
+            residual = t.total_ms - t.eval_ms
+            worst_decomp = max(worst_decomp, abs((t.eval_ms + residual) - t.total_ms))
+            assert 0.0 <= t.eval_ms <= t.total_ms
         assert abs((rep.eval_ms + rep.residual_ms) - rep.total_ms) <= 1.0
-        worst_pct = max(worst_pct, rep.pct_of_epoch)
+        worst_pct = max(worst_pct, rep.pct_of_train)
     ok = worst_decomp <= 1.0 and worst_pct < 10.0
     report(
         "A6 search overhead accounting",

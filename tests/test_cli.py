@@ -152,6 +152,8 @@ def test_train_writes_artifacts(run_dirs):
     assert "triggers = 1" in summary
     trace = (out / "trace.csv").read_text().strip().split("\n")
     assert len(trace) == 1 + 8
+    summary_head = (out / "eos_summary.csv").read_text().split("\n")[0]
+    assert summary_head == "trigger,winner_alpha,winner_beta,eval_ms,total_ms,evaluations"
 
 
 def test_eval_command(run_dirs, tmp_path):
@@ -185,7 +187,7 @@ def test_report_command(run_dirs, tmp_path):
     rc = cli.main(["report", "--run", str(out), "--svg", "-o", str(tmp_path)])
     assert rc == 0
     head, row = (tmp_path / "overhead.csv").read_text().strip().split("\n")
-    assert head.split(",")[:2] == ["triggers", "evaluations"]
+    assert head == "triggers,evaluations,eval_ms,residual_ms,total_ms,train_wall_ms,pct_of_train"
     fields = row.split(",")
     assert fields[0] == "1"
     assert int(fields[1]) == 3 * 2  # one trigger, population x generations
@@ -261,6 +263,23 @@ def test_report_rejects_malformed_eos_summary(run_dirs, tmp_path, capsys):
 def test_oracle_command_filter():
     assert cli.main(["oracle", "--fast", "--only", "simplex"]) == 0
     assert cli.main(["oracle", "--only", "no-such-check"]) == 2
+
+
+CONFIG_FLAGS = [["--config", "/nonexistent.cfg"], ["--set", "bogus.key=1"]]
+
+
+@pytest.mark.parametrize("flag", CONFIG_FLAGS + [["-o", "unused"]], ids=["config", "set", "out"])
+def test_oracle_rejects_flags_it_would_ignore(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--fast", "--only", "simplex", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", CONFIG_FLAGS, ids=["config", "set"])
+def test_report_rejects_flags_it_would_ignore(flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--run", str(tmp_path), "-o", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
 
 
 def test_oracle_failure_exit_code(monkeypatch):

@@ -108,6 +108,27 @@ def test_non_finite_spec_is_a_config_error(spec):
         build_dataset([flat()], [spec], SplitConfig())
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DegradationSpec("rain", count=2.5, intensity=0.3),
+        DegradationSpec("rain", count=math.inf, intensity=0.3),
+        DegradationSpec("rain", count=True, intensity=0.3),
+        DegradationSpec("noise", sigma=0.1, seed=1.5),
+        DegradationSpec("noise", sigma="0.1"),
+        DegradationSpec("noise", sigma=0.1, count=7),
+        DegradationSpec("blur", kernel_sigma=1.0, sigma=0.2),
+    ],
+    ids=["count-float", "count-inf", "count-bool", "seed-float", "sigma-str",
+         "noise-count", "blur-sigma"],
+)
+def test_mistyped_or_foreign_spec_field_is_a_config_error(spec):
+    with pytest.raises(ConfigError):
+        apply_degradation(flat(), spec)
+    with pytest.raises(ConfigError):
+        build_dataset([flat()], [spec], SplitConfig())
+
+
 def test_psnr_reference_points():
     assert abs(psnr(flat(0.5), flat(0.6)) - 20.0) < 1e-12
     assert psnr(flat(0.5), flat(0.5)) == math.inf

@@ -1,5 +1,7 @@
 """Training loop: schedule, determinism, divergence guard, and CSV output."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,7 @@ def test_one_validation_pass_per_eval_or_trigger_iteration(monkeypatch):
     for point, t in zip(trace.evals, trace.eos_traces):
         for r in t.records:
             assert r.fitness == -(r.alpha * point.loss_fid + r.beta * point.loss_perc)
-        assert 0.0 < t.eval_wall_ms <= t.total_wall_ms
+        assert 0.0 < t.eval_ms <= t.total_ms
     calls.clear()
     alone, alone_trace = train(ds, small_config(iterations=20, eval_every=0, eos=search))
     assert len(calls) == 3
@@ -182,6 +184,26 @@ def test_evaluate_table():
     assert all_row.capped == 0
     with pytest.raises(ConfigError):
         evaluate(params, ds, "test")  # empty split
+
+
+def test_eval_point_and_evaluate_average_psnr_alike(monkeypatch):
+    # one validation pair restored exactly: its +inf PSNR is left out of both means
+    real = trainer.validate
+
+    def one_exact_pair(*args):
+        table = real(*args)
+        table.psnr[0] = math.inf
+        return table
+
+    monkeypatch.setattr(trainer, "validate", one_exact_pair)
+    ds = small_dataset()
+    params, trace = train(ds, small_config(iterations=1, eval_every=1))
+    all_row = evaluate(params, ds, "val")[-1]
+    point = trace.evals[0]
+    assert all_row.capped == 1 and math.isfinite(point.psnr)
+    assert (point.psnr, point.ssim, point.loss_fid, point.loss_perc) == (
+        all_row.psnr_mean, all_row.ssim_mean, all_row.fid_mean, all_row.perc_mean
+    )
 
 
 def test_stacks_bound_pixels_and_split_at_shape_changes():
