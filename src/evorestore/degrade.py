@@ -379,16 +379,24 @@ MANIFEST_HEADER = ("index", "kind", "seed", "clean_path", "degraded_path")
 
 
 def write_dataset(out_dir, dataset: PairedDataset) -> str:
-    """Materialize FGRID files plus 'index,kind,seed,clean_path,degraded_path'."""
+    """Materialize FGRID files plus 'index,kind,seed,clean_path,degraded_path'.
+
+    Each distinct clean array (by identity: build_dataset shares one per source
+    image across its pairs) is written once, as clean/<index of the first pair
+    that holds it>.fgrid, and every pair holding it names that path.
+    """
     clean_dir = os.path.join(out_dir, "clean")
     deg_dir = os.path.join(out_dir, "degraded")
     os.makedirs(clean_dir, exist_ok=True)
     os.makedirs(deg_dir, exist_ok=True)
     lines = [",".join(MANIFEST_HEADER)]
+    clean_paths = {}  # id(clean array) -> its path; the rows keep every array alive
     for row in dataset.pairs:
-        cpath = os.path.join("clean", f"{row.index:05d}.fgrid")
+        cpath = clean_paths.get(id(row.clean))
+        if cpath is None:
+            cpath = clean_paths[id(row.clean)] = os.path.join("clean", f"{row.index:05d}.fgrid")
+            write_fgrid(os.path.join(out_dir, cpath), row.clean)
         dpath = os.path.join("degraded", f"{row.index:05d}.fgrid")
-        write_fgrid(os.path.join(out_dir, cpath), row.clean)
         write_fgrid(os.path.join(out_dir, dpath), row.degraded)
         lines.append(f"{row.index},{row.kind},{row.seed},{cpath},{dpath}")
     manifest = os.path.join(out_dir, "manifest.txt")
@@ -398,7 +406,12 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
 
 
 def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
-    """Rebuild a PairedDataset from a manifest; splits recomputed from `split`."""
+    """Rebuild a PairedDataset from a manifest; splits recomputed from `split`.
+
+    Each distinct clean_path is read once, and every row naming it holds the
+    same array, so a manifest whose pairs share clean files loads each source
+    image once; one with a clean file per pair loads a copy per pair.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -408,6 +421,7 @@ def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
     if not lines or lines[0] != ",".join(MANIFEST_HEADER):
         raise NumericIntegrityError(f"{manifest_path}: malformed manifest header")
     rows = []
+    cleans = {}  # clean_path -> its grid
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 5:
@@ -421,12 +435,14 @@ def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
             ) from exc
         if "\0" in cpath + dpath:
             raise NumericIntegrityError(f"{manifest_path}: NUL byte in manifest row {ln!r}")
+        if cpath not in cleans:
+            cleans[cpath] = read_image(os.path.join(base, cpath))
         rows.append(
             PairRow(
                 index=idx,
                 kind=kind,
                 seed=seed,
-                clean=read_image(os.path.join(base, cpath)),
+                clean=cleans[cpath],
                 degraded=read_image(os.path.join(base, dpath)),
             )
         )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .degrade import PSNR_CAP_DB, psnr
 from .errors import ConfigError, NumericIntegrityError
-from .fmm import FmmParams, fmm_forward
+from .fmm import FmmParams, fmm_forward, prepare
 from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier, ssim_and_ms_ssim
 from .util import stacks, write_csv
 
@@ -162,14 +162,19 @@ def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> 
     """Restore (degraded, clean) pairs with a frozen model and score each restoration.
 
     Pairs run through the operator and the losses as stacks (see
-    util.stacks); MS-SSIM picks its scales from each stack's grid shape.
+    util.stacks); the operator is prepared once per grid shape, and MS-SSIM
+    picks its scales from each stack's grid shape.
     """
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("validation set is empty")
     cols = ([], [], [], [])
+    preps = {}
     for x, target in stacks([p[0] for p in pairs], [p[1] for p in pairs]):
-        y = fmm_forward(x, params).y_hat
+        shape = x.shape[-2:]
+        if shape not in preps:
+            preps[shape] = prepare(params, *shape)
+        y = fmm_forward(x, params, preps[shape]).y_hat
         cols[0].append(psnr(y, target))
         ssim, ms = ssim_and_ms_ssim(y, target)
         cols[1].append(ssim)

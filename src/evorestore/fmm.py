@@ -58,9 +58,6 @@ MASK_RADIAL_BINS = "radial_bins"
 SPATIAL_PER_PIXEL = "per_pixel"
 SPATIAL_GAP_AFFINE = "gap_affine"
 
-MASK_MODES = (MASK_PER_FREQUENCY, MASK_RADIAL_BINS)
-SPATIAL_MODES = (SPATIAL_PER_PIXEL, SPATIAL_GAP_AFFINE)
-
 
 def sigmoid(x):
     """Numerically stable logistic; min(x, -x) is -|x| and keeps a NaN's sign bit."""
@@ -137,10 +134,25 @@ class FmmActivations:
     x_spec: np.ndarray  # rfft2(x), the half-spectrum shaped (..., H, W//2 + 1)
     x_h: np.ndarray  # high band, shaped like the input
     u_l: np.ndarray  # T_K * x_spec, the low band's half-spectrum
-    spectral_mask: np.ndarray  # materialized (H, W) real mask
     spatial_mask: np.ndarray  # (H, W) mask, or the gate value per grid shaped (..., 1, 1)
     gap_mean: np.ndarray | None  # mean(|x_h|) per grid, shaped (..., 1, 1), in gap_affine mode
     y_hat: np.ndarray
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """The operator's arrays that depend only on the parameters and the grid shape.
+
+    Every stack of a training step or a validation pass shares one parameter
+    set, so `prepare` builds these once and each fmm_forward/fmm_backward call
+    reads them.
+    """
+
+    shape: tuple  # the (H, W) they were built for
+    transfer: np.ndarray  # T_K on the half-spectrum, (H, W//2 + 1)
+    spectral_mask: np.ndarray  # materialized (H, W) real mask
+    spectral_half: np.ndarray  # its columns 0..W//2, which the gate and its adjoint apply
+    spatial_mask: np.ndarray | None  # the per_pixel sigmoid (H, W); None in gap_affine mode
 
 
 def default_params(
@@ -170,7 +182,7 @@ def validate_params(p: FmmParams, h: int | None = None, w: int | None = None) ->
     """Check the modes and block shapes of `p`; the per-element blocks against (h, w) if given.
 
     The one statement of which modes exist and what shape each block has:
-    default_params, fmm_forward and the FMMP writer and parser call it.
+    default_params, prepare and the FMMP writer and parser call it.
     Raises ConfigError for an unknown mode and DimensionError for a bad shape.
     """
     as_kernel(p.lowpass)
@@ -192,6 +204,29 @@ def validate_params(p: FmmParams, h: int | None = None, w: int | None = None) ->
             )
     else:
         raise ConfigError(f"unknown spatial_mode {p.spatial_mode!r}")
+
+
+def prepare(p: FmmParams, h: int, w: int) -> Prepared:
+    """Validate `p` against (h, w) and build its parameter-only arrays once."""
+    validate_params(p, h, w)
+    transfer = half_transfer(p.lowpass, h, w)
+    mask = spectral_mask(p, h, w)
+    return Prepared(
+        (h, w),
+        transfer,
+        mask,
+        np.ascontiguousarray(mask[:, : w // 2 + 1]),
+        sigmoid(p.spatial_logits) if p.spatial_mode == SPATIAL_PER_PIXEL else None,
+    )
+
+
+def _prepared_for(prep: Prepared | None, p: FmmParams, h: int, w: int) -> Prepared:
+    """`prep` if it was built for (h, w) grids, a fresh one if it is None."""
+    if prep is None:
+        return prepare(p, h, w)
+    if prep.shape != (h, w):
+        raise DimensionError(f"operator prepared for {prep.shape} grids, got {(h, w)}")
+    return prep
 
 
 def _check_grid_block(mode: str, logits: np.ndarray, h, w) -> None:
@@ -265,41 +300,43 @@ def half_transfer(k, h: int, w: int) -> np.ndarray:
     return _tap_phases(h, s) @ k @ _tap_phases(w, s)[: w // 2 + 1].T
 
 
-def band_split(x, p: FmmParams):
+def band_split(x, p: FmmParams, prep: Prepared | None = None):
     """Split into (high, X, U): U = T_K * X is the low band's half-spectrum.
 
     X = rfft2(x) and high = irfft2(X - U); the low band x - high is left to
-    the caller. An identity kernel gives a high band of exact zeros.
+    the caller. An identity kernel gives a high band of exact zeros. T_K is
+    `prep.transfer`; `prep` is built here when not given.
     """
     x = as_grids(x)
     h, w = x.shape[-2:]
     X = np.fft.rfft2(x, norm="ortho")
-    U = half_transfer(p.lowpass, h, w) * X
+    U = _prepared_for(prep, p, h, w).transfer * X
     high = np.fft.irfft2(X - U, s=(h, w), norm="ortho")
     return high, X, U
 
 
-def spectral_gate(u, p: FmmParams, w: int):
+def spectral_gate(u, p: FmmParams, w: int, prep: Prepared | None = None):
     """Gate the low band given its half-spectrum `u` of width-w grids; returns (refined, mask).
 
     refined = irfft2(mask[:, :W//2+1] * u): `spectral_mask` is Hermitian-
     symmetric by construction, so its half columns define the whole gate.
+    The mask is `prep`'s; `prep` is built here when not given.
     """
-    mask = spectral_mask(p, u.shape[-2], w)
-    refined = np.fft.irfft2(mask[:, : w // 2 + 1] * u, s=(u.shape[-2], w), norm="ortho")
-    return refined, mask
+    h = u.shape[-2]
+    prep = _prepared_for(prep, p, h, w)
+    return np.fft.irfft2(prep.spectral_half * u, s=(h, w), norm="ortho"), prep.spectral_mask
 
 
-def spatial_gate(high, p: FmmParams):
+def spatial_gate(high, p: FmmParams, prep: Prepared | None = None):
     """Gate the high band in the spatial domain (no FFT on this branch).
 
-    Returns (refined, mask, gap_mean): in per_pixel mode the (H, W) mask and
-    None; in gap_affine mode the gate value and mean(|high|) of each grid,
-    shaped (..., 1, 1).
+    Returns (refined, mask, gap_mean): in per_pixel mode the (H, W) mask of
+    `prep` (built here when not given) and None; in gap_affine mode the gate
+    value and mean(|high|) of each grid, shaped (..., 1, 1).
     """
     high = as_grids(high)
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        m = sigmoid(p.spatial_logits)
+        m = _prepared_for(prep, p, *high.shape[-2:]).spatial_mask
         return m * high, m, None
     a, b = p.spatial_logits
     g = np.mean(np.abs(high), axis=(-2, -1), keepdims=True)
@@ -312,23 +349,31 @@ def spatial_gate(high, p: FmmParams):
 # ---------------------------------------------------------------------------
 
 
-def fmm_forward(x, p: FmmParams) -> FmmActivations:
-    """Run the operator; y_hat is the gate's output with the spatial branch added in place."""
+def fmm_forward(x, p: FmmParams, prep: Prepared | None = None) -> FmmActivations:
+    """Run the operator; y_hat is the gate's output with the spatial branch added in place.
+
+    `prep` is `prepare(p, H, W)`, built here when not given; callers that run
+    many stacks with one parameter set build it once and pass it.
+    """
     x = as_grids(x)
     h, w = x.shape[-2:]
-    validate_params(p, h, w)
-    x_h, x_spec, u_l = band_split(x, p)
-    y, smask = spectral_gate(u_l, p, w)
-    x_h_ref, pmask, gap_mean = spatial_gate(x_h, p)
+    prep = _prepared_for(prep, p, h, w)
+    x_h, x_spec, u_l = band_split(x, p, prep)
+    y = spectral_gate(u_l, p, w, prep)[0]
+    x_h_ref, pmask, gap_mean = spatial_gate(x_h, p, prep)
     y += x_h_ref
     return FmmActivations(
-        x_spec=x_spec, x_h=x_h, u_l=u_l, spectral_mask=smask,
-        spatial_mask=pmask, gap_mean=gap_mean, y_hat=y,
+        x_spec=x_spec, x_h=x_h, u_l=u_l, spatial_mask=pmask, gap_mean=gap_mean, y_hat=y,
     )
 
 
-def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
+def fmm_backward(
+    acts: FmmActivations, p: FmmParams, grad_out, prep: Prepared | None = None
+) -> FmmGrads:
     """Exact dL/d(params) given dL/dy via hand-derived adjoints.
+
+    `prep` is the `prepare(p, H, W)` the forward pass used, built here when
+    not given.
 
     For a stack, L is the sum of the per-grid losses whose gradients
     grad_out holds, so the parameter gradients are summed over the stack.
@@ -352,12 +397,13 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
     if gy.shape != acts.y_hat.shape:
         raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
     h, w = gy.shape[-2:]
+    prep = _prepared_for(prep, p, h, w)
 
     # --- spectral branch ---
     G = np.fft.rfft2(gy, norm="ortho")
     g_half = _sum_stack((np.conj(G) * acts.u_l).real)
     g_mask = _mirror_half_spectrum(g_half, w)
-    g_spectral = spectral_mask_grad_to_logits(p, h, w, acts.spectral_mask, g_mask)
+    g_spectral = spectral_mask_grad_to_logits(p, h, w, prep.spectral_mask, g_mask)
 
     # --- spatial branch ---
     m = acts.spatial_mask
@@ -372,7 +418,7 @@ def fmm_backward(acts: FmmActivations, p: FmmParams, grad_out) -> FmmGrads:
         g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
 
     # --- band split / kernel ---
-    G_l = acts.spectral_mask[:, : w // 2 + 1] * G
+    G_l = prep.spectral_half * G
     G_l -= np.fft.rfft2(g_xh, norm="ortho")
     P = _sum_stack(np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
     P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair

@@ -302,9 +302,12 @@ def ms_ssim_value(pred, target, cfg: MsSsimConfig | None = None):
     return _ms_ssim_call(pred, target, cfg, want_grad=False)[0]
 
 
-def ssim_and_ms_ssim(pred, target, cfg: MsSsimConfig | None = None):
-    """(single-scale SSIM, MS-SSIM) in one pass, from the same windowed moments."""
-    value, _, ssim = _ms_ssim_call(pred, target, cfg, want_grad=False, want_ssim=True)
+def ssim_and_ms_ssim(pred, target):
+    """(single-scale SSIM, MS-SSIM) in one pass, from the same windowed moments.
+
+    MS-SSIM takes the scales `MsSsimConfig.for_shape` picks for the grids.
+    """
+    value, _, ssim = _ms_ssim_call(pred, target, None, want_grad=False, want_ssim=True)
     return ssim, value
 
 

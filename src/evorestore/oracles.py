@@ -412,10 +412,11 @@ def wiener_recovery(
     batches = list(stacks(noisy, [clean] * n_train, pixels=32_768))
     for _ in range(iterations):
         g = np.zeros((height, width))
+        prep = fmm.prepare(p, height, width)
         for x, target in batches:
-            acts = fmm.fmm_forward(x, p)
+            acts = fmm.fmm_forward(x, p, prep)
             _, g_out = charbonnier(acts.y_hat, target)
-            g += fmm.fmm_backward(acts, p, g_out).spectral_logits
+            g += fmm.fmm_backward(acts, p, g_out, prep).spectral_logits
         p.spectral_logits -= (lr / n_train) * g
 
     learned = fmm.spectral_mask(p, height, width)

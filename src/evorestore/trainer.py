@@ -36,6 +36,7 @@ from .fmm import (
     default_params,
     fmm_backward,
     fmm_forward,
+    prepare,
     zero_grads,
 )
 from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, combined_loss
@@ -174,11 +175,12 @@ def train(
 
         batch = [train_rows[i] for i in next(batches)]
         grads = zero_grads(params)
+        prep = prepare(params, h, w)
         fid_sum = perc_sum = comb_sum = 0.0
         for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
-            acts = fmm_forward(x, params)
+            acts = fmm_forward(x, params, prep)
             lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps)
-            grads.add(fmm_backward(acts, params, g_out))
+            grads.add(fmm_backward(acts, params, g_out, prep))
             fid_sum += float(np.sum(lv.fidelity))
             perc_sum += float(np.sum(lv.perceptual))
             comb_sum += float(np.sum(lv.combined))

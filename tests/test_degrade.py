@@ -214,6 +214,62 @@ def test_dataset_write_load_round_trip(tmp_path):
         assert np.array_equal(a.degraded, b.degraded)
 
 
+def test_write_dataset_stores_one_clean_file_per_source_image(tmp_path):
+    ds = make_dataset()  # 10 images x 2 kinds; image i is pair i and pair i + 10
+    manifest = write_dataset(tmp_path, ds)
+    assert sorted(p.name for p in (tmp_path / "clean").iterdir()) == [
+        f"{i:05d}.fgrid" for i in range(10)
+    ]
+    assert len(list((tmp_path / "degraded").iterdir())) == 20
+    rows = [ln.split(",") for ln in open(manifest).read().splitlines()[1:]]
+    for i in range(10):
+        assert rows[i][3] == rows[i + 10][3] == f"clean/{i:05d}.fgrid"
+        assert rows[i][4] != rows[i + 10][4]
+
+
+def test_loaded_pairs_of_one_image_share_one_clean_array(tmp_path):
+    back = load_dataset(write_dataset(tmp_path, make_dataset()), SplitConfig(0.2, 0.0, 9))
+    for i in range(10):
+        assert back.pairs[i].clean is back.pairs[i + 10].clean
+    assert len({id(r.clean) for r in back.pairs}) == 10
+    assert len({id(r.degraded) for r in back.pairs}) == 20
+
+
+def test_manifest_with_one_clean_file_per_pair_loads_bit_identically(tmp_path):
+    # the layout before clean files were shared: clean/<pair index>.fgrid for every pair
+    from evorestore.grids import write_fgrid
+
+    ds = make_dataset()
+    lines = [",".join(MANIFEST_HEADER)]
+    for sub in ("clean", "degraded"):
+        (tmp_path / sub).mkdir()
+    for r in ds.pairs:
+        cpath, dpath = f"clean/{r.index:05d}.fgrid", f"degraded/{r.index:05d}.fgrid"
+        write_fgrid(tmp_path / cpath, r.clean)
+        write_fgrid(tmp_path / dpath, r.degraded)
+        lines.append(f"{r.index},{r.kind},{r.seed},{cpath},{dpath}")
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    back = load_dataset(tmp_path / "manifest.txt", SplitConfig(0.2, 0.0, 9))
+    assert (back.train_idx, back.val_idx) == (ds.train_idx, ds.val_idx)
+    for a, b in zip(ds.pairs, back.pairs):
+        assert (a.index, a.kind, a.seed) == (b.index, b.kind, b.seed)
+        assert a.clean.tobytes() == b.clean.tobytes()
+        assert a.degraded.tobytes() == b.degraded.tobytes()
+    assert back.pairs[0].clean is not back.pairs[10].clean
+
+
+def test_writing_a_loaded_dataset_again_gives_the_same_files(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_dataset(a, make_dataset())
+    write_dataset(b, load_dataset(a / "manifest.txt", SplitConfig(0.2, 0.0, 9)))
+
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
+    assert files(a) == files(b)
+
+
 def test_pgm_round_trips(tmp_path):
     rng = np.random.default_rng(3)
     img = rng.uniform(0, 1, (9, 7))

@@ -66,7 +66,7 @@ def test_spectral_gate_saturation():
     assert np.min(fmm.spectral_mask(p, 12, 12)) > 1.0 - 1e-12
 
 
-@pytest.mark.parametrize("mask_mode", fmm.MASK_MODES)
+@pytest.mark.parametrize("mask_mode", [fmm.MASK_PER_FREQUENCY, fmm.MASK_RADIAL_BINS])
 @pytest.mark.parametrize("h,w", [(9, 13), (13, 7), (10, 14), (45, 50)])
 def test_spectral_mask_is_exactly_hermitian_symmetric(mask_mode, h, w):
     # spectral_gate skips the symmetry check because of this, so pin it exactly
@@ -205,7 +205,7 @@ def test_half_spectrum_matches_complex_route(mask_mode, spatial_mode, h, w, stac
     acts = fmm.fmm_forward(x, p)
     assert acts.u_l.shape == shape[:-1] + (w // 2 + 1,)
     x_h_refined = fmm.spatial_gate(acts.x_h, p)[0]
-    want_y = _complex_gate(x - acts.x_h, acts.spectral_mask) + x_h_refined
+    want_y = _complex_gate(x - acts.x_h, fmm.spectral_mask(p, h, w)) + x_h_refined
     assert np.max(np.abs(acts.y_hat - want_y)) <= 1e-12
     grads = fmm.fmm_backward(acts, p, acts.y_hat - target)
     want = _complex_backward(x, p, acts.y_hat - target)
@@ -282,6 +282,54 @@ def test_kernel_larger_than_grid_raises(stack):
     p = fmm.default_params(5, 6, kernel_size=7)
     with pytest.raises(DimensionError, match="kernel size 7 exceeds"):
         fmm.fmm_forward(x, p)
+
+
+def _random_params(rng, h, w, mask_mode, spatial_mode):
+    p = fmm.default_params(h, w, mask_mode=mask_mode, spatial_mode=spatial_mode, n_bins=4)
+    p.lowpass = p.lowpass + 0.01 * rng.normal(size=p.lowpass.shape)
+    p.spectral_logits = rng.normal(0, 0.5, p.spectral_logits.shape)
+    p.spatial_logits = rng.normal(0, 0.5, p.spatial_logits.shape)
+    return p
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+@pytest.mark.parametrize("stack", [False, True])
+def test_prepared_operator_matches_unprepared_bit_for_bit(mask_mode, spatial_mode, stack):
+    rng = np.random.default_rng(16)
+    h, w = 13, 10
+    x = rng.uniform(0.1, 0.9, (3, h, w) if stack else (h, w))
+    p = _random_params(rng, h, w, mask_mode, spatial_mode)
+    prep = fmm.prepare(p, h, w)
+    plain, prepared = fmm.fmm_forward(x, p), fmm.fmm_forward(x, p, prep)
+    for name in ("x_spec", "x_h", "u_l", "spatial_mask", "gap_mean", "y_hat"):
+        a, b = getattr(plain, name), getattr(prepared, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    g_out = plain.y_hat - 0.5
+    for a, b in zip(
+        vars(fmm.fmm_backward(plain, p, g_out)).values(),
+        vars(fmm.fmm_backward(prepared, p, g_out, prep)).values(),
+    ):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(DimensionError, match="prepared for"):
+        fmm.fmm_forward(rng.uniform(0.1, 0.9, (h + 1, w)), p, prep)
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+def test_validate_matches_unprepared_stacks_bit_for_bit(monkeypatch, mask_mode, spatial_mode):
+    from evorestore import eos
+
+    rng = np.random.default_rng(17)
+    h, w = 45, 50  # 3 grids per stack: 7 pairs run as 3 stacks
+    p = _random_params(rng, h, w, mask_mode, spatial_mode)
+    shapes = [(h, w)] * 7
+    if spatial_mode == fmm.SPATIAL_GAP_AFFINE:  # a shape-free model also takes other shapes
+        shapes[4:6] = [(12, 16)] * 2
+    pairs = [(rng.uniform(0.1, 0.9, s), rng.uniform(0.1, 0.9, s)) for s in shapes]
+    prepared = eos.validate(p, pairs)
+    monkeypatch.setattr(eos, "prepare", lambda *args: None)  # every stack builds its own
+    plain = eos.validate(p, pairs)
+    for col in ("psnr", "ssim", "fid", "perc"):
+        assert getattr(prepared, col).tobytes() == getattr(plain, col).tobytes(), col
 
 
 def fd_loss(x, p, target):

@@ -206,6 +206,22 @@ def test_eval_point_and_evaluate_average_psnr_alike(monkeypatch):
     )
 
 
+def test_library_never_writes_into_dataset_grids(tmp_path):
+    # loaded pairs of one image share its clean array, so one write would reach every kind
+    from evorestore.degrade import load_dataset, write_dataset
+
+    split = SplitConfig(0.2, 0.0, 7)
+    ds = load_dataset(write_dataset(tmp_path, small_dataset()), split)
+    assert ds.pairs[0].clean is ds.pairs[6].clean
+    before = [(r.clean.tobytes(), r.degraded.tobytes()) for r in ds.pairs]
+    search = EosConfig(4, 2, 1, 0.3, 5, 0)
+    params, _ = train(ds, small_config(iterations=10, eval_every=5, eos=search))
+    evaluate(params, ds, "val")
+    evaluate(params, ds, "train")
+    eos.run_eos(params, ds.restoration_pairs("val"), search)
+    assert [(r.clean.tobytes(), r.degraded.tobytes()) for r in ds.pairs] == before
+
+
 def test_stacks_bound_pixels_and_split_at_shape_changes():
     per_stack = STACK_PIXELS // (48 * 48)
     grids = [np.full((48, 48), float(i)) for i in range(2 * per_stack + 1)]
