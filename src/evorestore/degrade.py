@@ -383,14 +383,16 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
 
     Each distinct clean array (by identity: build_dataset shares one per source
     image across its pairs) is written once, as clean/<index of the first pair
-    that holds it>.fgrid, and every pair holding it names that path.
+    that holds it>.fgrid, and every pair holding it names that path. Any other
+    .fgrid file in clean/ or degraded/ (left by an earlier dataset written
+    there) is removed; nothing else in out_dir is touched.
     """
-    clean_dir = os.path.join(out_dir, "clean")
-    deg_dir = os.path.join(out_dir, "degraded")
-    os.makedirs(clean_dir, exist_ok=True)
-    os.makedirs(deg_dir, exist_ok=True)
+    subdirs = ("clean", "degraded")
+    for sub in subdirs:
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     lines = [",".join(MANIFEST_HEADER)]
     clean_paths = {}  # id(clean array) -> its path; the rows keep every array alive
+    named = set()
     for row in dataset.pairs:
         cpath = clean_paths.get(id(row.clean))
         if cpath is None:
@@ -399,9 +401,15 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
         dpath = os.path.join("degraded", f"{row.index:05d}.fgrid")
         write_fgrid(os.path.join(out_dir, dpath), row.degraded)
         lines.append(f"{row.index},{row.kind},{row.seed},{cpath},{dpath}")
+        named.update((cpath, dpath))
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+    for sub in subdirs:
+        for name in os.listdir(os.path.join(out_dir, sub)):
+            rel = os.path.join(sub, name)
+            if name.endswith(".fgrid") and rel not in named:
+                os.remove(os.path.join(out_dir, rel))
     return manifest
 
 

@@ -407,9 +407,9 @@ def wiener_recovery(
         spatial_mode=fmm.SPATIAL_GAP_AFFINE,
         spatial_logits=np.zeros(2),
     )
-    # 8 grids of 64 px per call instead of the default 2: fewer, wider calls make
-    # an iteration cheaper, and A3 has no validation pass whose memory the default bounds.
-    batches = list(stacks(noisy, [clean] * n_train, pixels=32_768))
+    # util.stacks' default budget holds 8 grids of 64 px per call: fewer, wider
+    # calls make an iteration cheaper than the training step's 2 grids per call.
+    batches = list(stacks(noisy, [clean] * n_train))
     for _ in range(iterations):
         g = np.zeros((height, width))
         prep = fmm.prepare(p, height, width)

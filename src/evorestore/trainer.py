@@ -44,6 +44,13 @@ from .util import stacks
 
 DIVERGENCE_LIMIT = 1e6
 
+# Most pixels one training stack holds, below util.STACK_PIXELS for two reasons.
+# Peak memory: the backward keeps a stack's activations alive (on the 48 px
+# benchmark workload peak RSS rose 0.8 MB over one grid per call at this budget,
+# 3.9 MB at 16,384 and 6.6 MB with no bound). Bits: the parameter gradient is
+# summed stack by stack, so another budget changes the trained parameter bytes.
+TRAIN_STACK_PIXELS = 8192
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -177,7 +184,9 @@ def train(
         grads = zero_grads(params)
         prep = prepare(params, h, w)
         fid_sum = perc_sum = comb_sum = 0.0
-        for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
+        for x, clean in stacks(
+            [r.degraded for r in batch], [r.clean for r in batch], TRAIN_STACK_PIXELS
+        ):
             acts = fmm_forward(x, params, prep)
             lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps)
             grads.add(fmm_backward(acts, params, g_out, prep))

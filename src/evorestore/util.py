@@ -9,14 +9,12 @@ import numpy as np
 
 from .grids import as_grid
 
-# Most pixels one stacked call (operator, losses) holds: a batch or a split is
-# cut into stacks of at most this many pixels, and never fewer than one grid.
-# Stacking saves per-call overhead on small grids, while the transient arrays
-# of a call grow with the stack. On the benchmark's 48 px workload (batches of
-# 6, 12 validation pairs; 8 s runs, one thread of a shared 2-core x86-64 Xeon)
-# peak RSS rose 0.8 MB over one grid per call at this budget, 3.9 MB at
-# 16,384 px and 6.6 MB with no bound.
-STACK_PIXELS = 8192
+# Most pixels one stacked call (operator, losses) holds by default; a stack is
+# never fewer than one grid. 32,768 float64 pixels are 256 KB and MS-SSIM's
+# four-moment buffer 1 MB, so a stack fits a 2 MB per-core L2 cache; a 64 px
+# validation pass ran fastest at this budget of the five from 8,192 to 131,072
+# (README, "Stacked arrays"). Training passes trainer.TRAIN_STACK_PIXELS.
+STACK_PIXELS = 32_768
 
 
 def stacks(degraded: Sequence, clean: Sequence, pixels: int = STACK_PIXELS):

@@ -235,20 +235,25 @@ def test_loaded_pairs_of_one_image_share_one_clean_array(tmp_path):
     assert len({id(r.degraded) for r in back.pairs}) == 20
 
 
-def test_manifest_with_one_clean_file_per_pair_loads_bit_identically(tmp_path):
-    # the layout before clean files were shared: clean/<pair index>.fgrid for every pair
+def write_old_layout(root, ds):
+    """Write `ds` in the layout before clean files were shared: clean/<pair index>.fgrid
+    for every pair."""
     from evorestore.grids import write_fgrid
 
-    ds = make_dataset()
     lines = [",".join(MANIFEST_HEADER)]
     for sub in ("clean", "degraded"):
-        (tmp_path / sub).mkdir()
+        (root / sub).mkdir(parents=True)
     for r in ds.pairs:
         cpath, dpath = f"clean/{r.index:05d}.fgrid", f"degraded/{r.index:05d}.fgrid"
-        write_fgrid(tmp_path / cpath, r.clean)
-        write_fgrid(tmp_path / dpath, r.degraded)
+        write_fgrid(root / cpath, r.clean)
+        write_fgrid(root / dpath, r.degraded)
         lines.append(f"{r.index},{r.kind},{r.seed},{cpath},{dpath}")
-    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def test_manifest_with_one_clean_file_per_pair_loads_bit_identically(tmp_path):
+    ds = make_dataset()
+    write_old_layout(tmp_path, ds)
     back = load_dataset(tmp_path / "manifest.txt", SplitConfig(0.2, 0.0, 9))
     assert (back.train_idx, back.val_idx) == (ds.train_idx, ds.val_idx)
     for a, b in zip(ds.pairs, back.pairs):
@@ -256,6 +261,22 @@ def test_manifest_with_one_clean_file_per_pair_loads_bit_identically(tmp_path):
         assert a.clean.tobytes() == b.clean.tobytes()
         assert a.degraded.tobytes() == b.degraded.tobytes()
     assert back.pairs[0].clean is not back.pairs[10].clean
+
+
+def test_write_dataset_removes_grid_files_its_manifest_does_not_name(tmp_path):
+    write_old_layout(tmp_path, make_dataset())  # 20 clean files, 20 degraded files
+    (tmp_path / "clean" / "notes.txt").write_text("kept")
+    (tmp_path / "other.fgrid").write_text("kept")
+    ds = make_dataset(n_images=3)  # 3 images x 2 kinds: 3 clean files, 6 degraded
+    manifest = write_dataset(tmp_path, ds)
+    rows = [ln.split(",") for ln in open(manifest).read().splitlines()[1:]]
+    for sub, col, n in (("clean", 3, 3), ("degraded", 4, 6)):
+        grids = {f"{sub}/{p.name}" for p in (tmp_path / sub).glob("*.fgrid")}
+        assert grids == {r[col] for r in rows} and len(grids) == n
+    assert (tmp_path / "clean" / "notes.txt").read_text() == "kept"
+    assert (tmp_path / "other.fgrid").read_text() == "kept"
+    back = load_dataset(manifest, SplitConfig(0.2, 0.0, 9))
+    assert [r.degraded.tobytes() for r in back.pairs] == [r.degraded.tobytes() for r in ds.pairs]
 
 
 def test_writing_a_loaded_dataset_again_gives_the_same_files(tmp_path):

@@ -22,7 +22,7 @@ from evorestore.eos import (
 )
 from evorestore.errors import ConfigError, NumericIntegrityError
 from evorestore.grids import identity_kernel
-from evorestore.util import write_records
+from evorestore.util import STACK_PIXELS, write_records
 
 
 def sort_projection_oracle(v):
@@ -114,11 +114,13 @@ def test_validate_matches_per_pair_metrics():
 
     params = identity_model(48)
     rng = np.random.default_rng(12)
-    clean = [rng.uniform(0.2, 0.8, (48, 48)) for _ in range(7)]
+    n_pairs = 2 * (STACK_PIXELS // (48 * 48)) + 1
+    clean = [rng.uniform(0.2, 0.8, (48, 48)) for _ in range(n_pairs)]
     pairs = [(c + rng.normal(0, 0.05, c.shape), c) for c in clean]
     pairs[3] = (clean[3], fmm.fmm_forward(clean[3], params).y_hat)  # exact: +inf PSNR
-    table = validate(params, pairs)  # runs as stacks of 3, 3 and 1 pairs
-    assert table.psnr.shape == table.ssim.shape == table.fid.shape == table.perc.shape == (7,)
+    table = validate(params, pairs)  # runs as two full stacks and a stack of 1 pair
+    shapes = (table.psnr.shape, table.ssim.shape, table.fid.shape, table.perc.shape)
+    assert shapes == ((n_pairs,),) * 4
     for n, (x, c) in enumerate(pairs):
         y = fmm.fmm_forward(x, params).y_hat
         assert table.psnr[n] == psnr(y, c) or abs(table.psnr[n] - psnr(y, c)) <= 1e-9
@@ -143,6 +145,47 @@ def test_validate_matches_per_pair_metrics():
         y = fmm.fmm_forward(x, shape_free).y_hat
         assert abs(table.perc[n] - (1.0 - ms_ssim_value(y, c))) <= 1e-12
         assert abs(table.ssim[n] - ssim_index(y, c)) <= 1e-12
+
+
+def test_validate_does_not_depend_on_the_stack_budget(monkeypatch):
+    from evorestore import eos, util
+
+    rng = np.random.default_rng(21)
+    grid_model = fmm.default_params(
+        48, 48, mask_mode=fmm.MASK_PER_FREQUENCY, spatial_mode=fmm.SPATIAL_PER_PIXEL
+    )
+    grid_model.lowpass = grid_model.lowpass + 0.01 * rng.normal(size=grid_model.lowpass.shape)
+    grid_model.spectral_logits = rng.normal(0, 0.5, grid_model.spectral_logits.shape)
+    grid_model.spatial_logits = rng.normal(0, 0.5, grid_model.spatial_logits.shape)
+    shape_free = fmm.FmmParams(
+        lowpass=identity_kernel(3),
+        mask_mode=fmm.MASK_RADIAL_BINS,
+        spectral_logits=np.linspace(-1.0, 2.0, 4),
+        spatial_mode=fmm.SPATIAL_GAP_AFFINE,
+        spatial_logits=np.array([0.5, -0.2]),
+    )
+    per_stack = STACK_PIXELS // (48 * 48)
+    grid_shapes = [(48, 48)] * (2 * per_stack + 1)
+    mixed_shapes = [(48, 48)] * per_stack + [(16, 16)] * 3 + grid_shapes + [(32, 40)] * 2
+
+    def pairs_of(shapes):
+        return [(rng.uniform(0.1, 0.9, s), rng.uniform(0.1, 0.9, s)) for s in shapes]
+
+    cases = [(grid_model, pairs_of(grid_shapes)), (shape_free, pairs_of(mixed_shapes))]
+    default = [validate(p, pairs) for p, pairs in cases]
+    sizes = []
+
+    def one_grid_stacks(degraded, clean):
+        for x, target in util.stacks(degraded, clean, pixels=1):
+            sizes.append(x.shape[0])
+            yield x, target
+
+    monkeypatch.setattr(eos, "stacks", one_grid_stacks)
+    for (p, pairs), table in zip(cases, default):
+        single = validate(p, pairs)
+        for col in ("psnr", "ssim", "fid", "perc"):
+            assert getattr(table, col).tobytes() == getattr(single, col).tobytes(), col
+    assert sizes == [1] * (len(grid_shapes) + len(mixed_shapes))
 
 
 def test_fitness_decouples_at_vertices():

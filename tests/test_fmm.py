@@ -6,6 +6,7 @@ import pytest
 from evorestore import fmm, grids
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.grids import fft2, gaussian_kernel, identity_kernel, ifft2, transfer
+from evorestore.util import STACK_PIXELS
 
 PAIRS = [
     (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL),
@@ -319,11 +320,12 @@ def test_validate_matches_unprepared_stacks_bit_for_bit(monkeypatch, mask_mode, 
     from evorestore import eos
 
     rng = np.random.default_rng(17)
-    h, w = 45, 50  # 3 grids per stack: 7 pairs run as 3 stacks
+    h, w = 45, 50
+    per_stack = STACK_PIXELS // (h * w)
     p = _random_params(rng, h, w, mask_mode, spatial_mode)
-    shapes = [(h, w)] * 7
+    shapes = [(h, w)] * (2 * per_stack + 1)  # two full stacks and a stack of one
     if spatial_mode == fmm.SPATIAL_GAP_AFFINE:  # a shape-free model also takes other shapes
-        shapes[4:6] = [(12, 16)] * 2
+        shapes[per_stack:per_stack] = [(12, 16)] * 2
     pairs = [(rng.uniform(0.1, 0.9, s), rng.uniform(0.1, 0.9, s)) for s in shapes]
     prepared = eos.validate(p, pairs)
     monkeypatch.setattr(eos, "prepare", lambda *args: None)  # every stack builds its own

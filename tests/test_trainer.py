@@ -10,6 +10,7 @@ from evorestore.degrade import DegradationSpec, SplitConfig, build_dataset, synt
 from evorestore.eos import EosConfig, validate
 from evorestore.errors import ConfigError, DivergenceError
 from evorestore.trainer import (
+    TRAIN_STACK_PIXELS,
     EvalPoint,
     IterationRow,
     MetricsRow,
@@ -230,8 +231,8 @@ def test_stacks_bound_pixels_and_split_at_shape_changes():
     assert np.array_equal(np.concatenate([a for a, _ in got]), np.stack(grids))
     assert np.array_equal(np.concatenate([b for _, b in got]), np.stack(grids[::-1]))
     # a grid above the budget still forms a stack of one
-    big = [np.zeros((128, 128))] * 2
-    assert [a.shape for a, _ in stacks(big, big)] == [(1, 128, 128)] * 2
+    big = [np.zeros((2, STACK_PIXELS))] * 2
+    assert [a.shape for a, _ in stacks(big, big)] == [(1, 2, STACK_PIXELS)] * 2
     # matching stacks of a second sequence; any shape change ends a stack
     small = [np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((4, 4))]
     pairs = list(stacks(small, [np.zeros((8, 8)), np.zeros((6, 6)), np.zeros((4, 4))]))
@@ -244,10 +245,29 @@ def test_stacks_bound_pixels_and_split_at_shape_changes():
 
 def test_stacks_take_a_pixel_budget():
     grids = [np.full((64, 64), float(i)) for i in range(20)]
-    got = list(stacks(grids, grids, pixels=32_768))
-    assert [a.shape[0] for a, _ in got] == [8, 8, 4]
+    got = list(stacks(grids, grids, pixels=TRAIN_STACK_PIXELS))
+    assert [a.shape[0] for a, _ in got] == [2] * 10
     assert np.array_equal(np.concatenate([a for a, _ in got]), np.stack(grids))
     assert [a.shape[0] for a, _ in stacks(grids[:3], grids[:3], pixels=1)] == [1, 1, 1]
+
+
+def test_training_stacks_are_smaller_than_validation_stacks(monkeypatch):
+    seen = {"train": [], "val": []}
+
+    def counting(key, forward):
+        def wrapped(x, *args):
+            seen[key].append(x.shape[0])
+            return forward(x, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(trainer, "fmm_forward", counting("train", trainer.fmm_forward))
+    monkeypatch.setattr(eos, "fmm_forward", counting("val", eos.fmm_forward))
+    ds = small_dataset(n_images=30, size=32)  # 60 pairs of 1,024 px, 12 of them in validation
+    assert len(ds.val_idx) == 12 and 12 * 1024 <= STACK_PIXELS
+    train(ds, small_config(iterations=2, batch_size=10, eval_every=1))
+    assert seen["train"] == [TRAIN_STACK_PIXELS // 1024, 2] * 2
+    assert seen["val"] and set(seen["val"]) == {12}
 
 
 def test_csv_writers(tmp_path):
