@@ -72,6 +72,8 @@ class DegradationSpec:
                 raise ConfigError(f"{self.kind} {f.name} must be finite, got {value}")
             if f.name not in KIND_FIELDS[self.kind] and value != f.default:
                 raise ConfigError(f"unknown parameter {f.name!r} for kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"{self.kind} seed must be >= 0, got {self.seed}")
         if self.kind == "noise" and not self.sigma > 0:
             raise ConfigError(f"noise sigma must be > 0, got {self.sigma}")
         if self.kind == "blur" and not self.kernel_sigma > 0:
@@ -165,6 +167,8 @@ def synthetic_clean_images(n: int, height: int, width: int, seed: int = 0) -> li
     """Deterministic clean test images: smooth random fields with geometry mixed in."""
     if n < 1:
         raise ConfigError(f"need n >= 1 images, got {n}")
+    if seed < 0:
+        raise ConfigError(f"image seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ii = np.arange(height)[:, None] / height
     jj = np.arange(width)[None, :] / width
@@ -284,6 +288,8 @@ class SplitConfig:
             )
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ConfigError("val_fraction + test_fraction must leave training data")
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -96,6 +96,9 @@ class EosConfig:
             raise ConfigError(
                 f"trigger_interval must be >= 1, got {self.trigger_interval}"
             )
+        # trigger r of a training run searches with seed + r, r >= 1
+        if self.seed < 0:
+            raise ConfigError(f"eos seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -20,9 +20,11 @@ exact zeros. The split reuses the spectrum the spectral gate needs anyway,
 and x_l itself is never materialised: the gate and the backward read U instead.
 
 The operator runs on one grid (H, W) or on a stack of grids (N, H, W); the
-parameters are shared across the stack, and the backward pass sums the
-per-grid gradients over it. Every spectral mask is real and Hermitian-
-symmetric, so the gate and its adjoint run on the real half-spectrum
+parameters are shared across the stack. The backward pass (`GradSums`) adds
+each grid's gradient terms to running sums one grid at a time, in grid order,
+and turns the sums into parameter gradients once, so a batch gives the same
+gradient bits however it is cut into stacks. Every spectral mask is real and
+Hermitian-symmetric, so the gate and its adjoint run on the real half-spectrum
 (columns 0..W//2) with the mask's matching columns.
 
 Every gradient is derived by hand from the adjoint of each stage; there is no
@@ -52,6 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
 from .grids import as_grids, as_kernel, check_kernel_fits, gaussian_kernel
+from .util import add_in_order
 
 MASK_PER_FREQUENCY = "per_frequency"
 MASK_RADIAL_BINS = "radial_bins"
@@ -120,11 +123,6 @@ class FmmGrads:
     lowpass: np.ndarray
     spectral_logits: np.ndarray
     spatial_logits: np.ndarray
-
-    def add(self, other: "FmmGrads") -> None:
-        self.lowpass += other.lowpass
-        self.spectral_logits += other.spectral_logits
-        self.spatial_logits += other.spatial_logits
 
 
 @dataclass
@@ -370,61 +368,93 @@ def fmm_forward(x, p: FmmParams, prep: Prepared | None = None) -> FmmActivations
 def fmm_backward(
     acts: FmmActivations, p: FmmParams, grad_out, prep: Prepared | None = None
 ) -> FmmGrads:
-    """Exact dL/d(params) given dL/dy via hand-derived adjoints.
+    """Exact dL/d(params) given dL/dy: `GradSums` over one stack, finished at once.
 
     `prep` is the `prepare(p, H, W)` the forward pass used, built here when
-    not given.
+    not given. For a stack, L is the sum of the per-grid losses whose
+    gradients grad_out holds, so the parameter gradients are summed over it.
+    """
+    sums = GradSums(p, _prepared_for(prep, p, *acts.y_hat.shape[-2:]))
+    sums.add(acts, grad_out)
+    return sums.finish()
 
-    For a stack, L is the sum of the per-grid losses whose gradients
-    grad_out holds, so the parameter gradients are summed over the stack.
+
+class GradSums:
+    """The backward pass in two stages, so a batch can run as several stacks.
+
+    `add` takes one stack's activations and dL/dy and adds each grid's terms
+    to per-step sums, one grid at a time in grid order, so the sums do not
+    depend on how the batch was cut into stacks. `finish` turns the sums into
+    FmmGrads once; every step it takes is linear, so it commutes with the sum.
 
     Spectral path:  dL/dmask(xi) = Re[conj(G)(xi) * u_l(xi)] with G =
-    rfft2(grad_out), summed over the stack on the half-spectrum and mirrored
-    to the full (H, W) grid (it is Hermitian-symmetric, like the mask), then
-    through the sigmoid/symmetrization (or bin pooling) to the logits. The
-    gate is self-adjoint: it sends G back to M_half * G.
-    Spatial path:   per_pixel dL/dlogits = grad_out * x_h * m(1-m); gap_affine
-    chains each grid's scalar gate through its GAP statistic.
+    rfft2(grad_out), summed on the half-spectrum; `finish` mirrors the sum
+    to the full (H, W) grid (it is Hermitian-symmetric, like the mask) and
+    takes it through the sigmoid/symmetrization (or bin pooling) to the
+    logits. The gate is self-adjoint: it sends G back to M_half * G.
+    Spatial path:   per_pixel sums grad_out * x_h and `finish` multiplies by
+    m(1-m); gap_affine chains each grid's scalar gate through its GAP
+    statistic and sums the two scalar terms.
     Kernel path:    G_l = M_half * G - rfft2(dL/dx_h) is the spectrum of dL/dx_l:
     the spectral-branch adjoint minus the high-branch feedback (x_h = x - K*x);
     both couplings are mandatory. dL/dK is the adjoint of the transfer map
-    K -> T_K = Eh @ K @ Ew^T applied to P = sum over the stack of conj(G_l) * X:
+    K -> T_K = Eh @ K @ Ew^T applied to P = the sum of conj(G_l) * X:
     Re(Eh^T @ (P * w_v) @ Ew), where w_v = 2 on the half-spectrum columns that
     stand for a mirrored pair of full-spectrum columns, and 1 on column 0 and
     (even W) the Nyquist column W/2.
     """
-    gy = as_grids(grad_out)
-    if gy.shape != acts.y_hat.shape:
-        raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
-    h, w = gy.shape[-2:]
-    prep = _prepared_for(prep, p, h, w)
 
-    # --- spectral branch ---
-    G = np.fft.rfft2(gy, norm="ortho")
-    g_half = _sum_stack((np.conj(G) * acts.u_l).real)
-    g_mask = _mirror_half_spectrum(g_half, w)
-    g_spectral = spectral_mask_grad_to_logits(p, h, w, prep.spectral_mask, g_mask)
+    def __init__(self, p: FmmParams, prep: Prepared):
+        h, w = prep.shape
+        self.p, self.prep = p, prep
+        self.spectral = np.zeros((h, w // 2 + 1))  # sum of Re(conj(G) * u_l)
+        self.kernel = np.zeros((h, w // 2 + 1), dtype=complex)  # sum of conj(G_l) * X
+        # sum of grad_out * x_h (per_pixel), or of [dt * mean|x_h|, dt] (gap_affine)
+        self.spatial = np.zeros((h, w) if p.spatial_mode == SPATIAL_PER_PIXEL else 2)
 
-    # --- spatial branch ---
-    m = acts.spatial_mask
-    if p.spatial_mode == SPATIAL_PER_PIXEL:
-        g_spatial = _sum_stack(gy * acts.x_h) * m * (1.0 - m)
-        g_xh = gy * m
-    else:
-        a = float(p.spatial_logits[0])
-        s = np.sum(gy * acts.x_h, axis=(-2, -1), keepdims=True)
-        dt = s * m * (1.0 - m)  # dL/d(pre-sigmoid scalar), per grid
-        g_spatial = np.array([np.sum(dt * acts.gap_mean), np.sum(dt)])
-        g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
+    def add(self, acts: FmmActivations, grad_out) -> None:
+        """Add the terms of each grid of one stack (or of one grid), in grid order."""
+        gy = as_grids(grad_out)
+        if gy.shape != acts.y_hat.shape:
+            raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
+        h, w = gy.shape[-2:]
+        if (h, w) != self.prep.shape:
+            raise DimensionError(f"operator prepared for {self.prep.shape} grids, got {(h, w)}")
 
-    # --- band split / kernel ---
-    G_l = prep.spectral_half * G
-    G_l -= np.fft.rfft2(g_xh, norm="ortho")
-    P = _sum_stack(np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
-    P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
-    size = p.lowpass.shape[0]
-    g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real
-    return FmmGrads(g_taps, g_spectral, g_spatial)
+        G = np.fft.rfft2(gy, norm="ortho")
+        add_in_order(self.spectral, (np.conj(G) * acts.u_l).real)
+
+        m = acts.spatial_mask
+        if self.p.spatial_mode == SPATIAL_PER_PIXEL:
+            add_in_order(self.spatial, gy * acts.x_h)
+            g_xh = gy * m
+        else:
+            a = float(self.p.spatial_logits[0])
+            s = np.sum(gy * acts.x_h, axis=(-2, -1), keepdims=True)
+            dt = s * m * (1.0 - m)  # dL/d(pre-sigmoid scalar), per grid
+            add_in_order(self.spatial, np.stack([dt * acts.gap_mean, dt], axis=-1))
+            g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
+
+        G_l = self.prep.spectral_half * G
+        G_l -= np.fft.rfft2(g_xh, norm="ortho")
+        add_in_order(self.kernel, np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
+
+    def finish(self) -> FmmGrads:
+        """The parameter gradients of every grid added so far; the sums are left as they are."""
+        p, prep = self.p, self.prep
+        h, w = prep.shape
+        g_mask = _mirror_half_spectrum(self.spectral, w)
+        g_spectral = spectral_mask_grad_to_logits(p, h, w, prep.spectral_mask, g_mask)
+        if p.spatial_mode == SPATIAL_PER_PIXEL:
+            m = prep.spatial_mask
+            g_spatial = self.spatial * m * (1.0 - m)
+        else:
+            g_spatial = self.spatial.copy()
+        P = self.kernel.copy()
+        P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
+        size = p.lowpass.shape[0]
+        g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real
+        return FmmGrads(g_taps, g_spectral, g_spatial)
 
 
 def _mirror_half_spectrum(half: np.ndarray, w: int) -> np.ndarray:
@@ -438,19 +468,6 @@ def _mirror_half_spectrum(half: np.ndarray, w: int) -> np.ndarray:
     rows = -np.arange(h) % h
     full[:, k:] = half[rows, w - k : 0 : -1]
     return full
-
-
-def _sum_stack(a: np.ndarray) -> np.ndarray:
-    """Sum a grid or a stack of grids over the stack axis -> (H, W)."""
-    return a.reshape(-1, *a.shape[-2:]).sum(axis=0)
-
-
-def zero_grads(p: FmmParams) -> FmmGrads:
-    return FmmGrads(
-        np.zeros_like(p.lowpass),
-        np.zeros_like(p.spectral_logits),
-        np.zeros_like(p.spatial_logits),
-    )
 
 
 def apply_update(p: FmmParams, g: FmmGrads, lr: float, *, freeze=()) -> FmmParams:

@@ -329,12 +329,26 @@ def combined_loss(
     eps: float = DEFAULT_CHARBONNIER_EPS,
     ms_cfg: MsSsimConfig | None = None,
 ):
-    """alpha * Charbonnier + beta * (1 - MS-SSIM); returns (LossValue, grad)."""
-    fid, g_fid = charbonnier(pred, target, eps)
-    ms, g_ms = ms_ssim(pred, target, ms_cfg)
-    perc = 1.0 - ms
+    """alpha * Charbonnier + beta * (1 - MS-SSIM); returns (LossValue, grad).
+
+    At a vertex of the simplex (a weight of exactly 0.0) the zero-weighted
+    loss is still valued, so both terms are logged, but its gradient is left
+    out: MS-SSIM's backward is skipped, and neither is a gradient scaled by 0.
+    With finite gradients the result differs from a g_fid - b g_ms only in
+    the sign of a zero.
+    """
     a, b = weights.alpha, weights.beta
+    fid, g_fid = charbonnier(pred, target, eps)
+    if b == 0.0:
+        perc = 1.0 - ms_ssim_value(pred, target, ms_cfg)
+        grad = np.multiply(g_fid, a, out=g_fid)
+    else:
+        ms, g_ms = ms_ssim(pred, target, ms_cfg)
+        perc = 1.0 - ms
+        if a == 0.0:
+            grad = np.multiply(g_ms, -b, out=g_ms)
+        else:
+            g_fid *= a
+            grad = np.subtract(g_fid, np.multiply(g_ms, b, out=g_ms), out=g_fid)
     combined = a * fid + b * perc
-    g_fid *= a
-    grad = np.subtract(g_fid, np.multiply(g_ms, b, out=g_ms), out=g_fid)  # a g_fid - b g_ms
     return LossValue(fid, perc, combined, a, b), grad

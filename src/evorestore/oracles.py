@@ -407,17 +407,14 @@ def wiener_recovery(
         spatial_mode=fmm.SPATIAL_GAP_AFFINE,
         spatial_logits=np.zeros(2),
     )
-    # util.stacks' default budget holds 8 grids of 64 px per call: fewer, wider
-    # calls make an iteration cheaper than the training step's 2 grids per call.
+    # util.stacks' default budget holds 8 grids of 64 px per call.
     batches = list(stacks(noisy, [clean] * n_train))
     for _ in range(iterations):
-        g = np.zeros((height, width))
-        prep = fmm.prepare(p, height, width)
+        sums = fmm.GradSums(p, fmm.prepare(p, height, width))
         for x, target in batches:
-            acts = fmm.fmm_forward(x, p, prep)
-            _, g_out = charbonnier(acts.y_hat, target)
-            g += fmm.fmm_backward(acts, p, g_out, prep).spectral_logits
-        p.spectral_logits -= (lr / n_train) * g
+            acts = fmm.fmm_forward(x, p, sums.prep)
+            sums.add(acts, charbonnier(acts.y_hat, target)[1])
+        p.spectral_logits -= (lr / n_train) * sums.finish().spectral_logits
 
     learned = fmm.spectral_mask(p, height, width)
     target = wiener_mask_oracle(clean, sigma)

@@ -15,6 +15,8 @@ Schedule semantics (all 1-based iteration indices):
 
 Each batch runs through the operator, the losses and the backward pass as
 stacks of pairs (see util.stacks), and the validation pass is eos.validate.
+The step's gradient sums (fmm.GradSums) and loss sums add one grid at a time
+in batch order, so the trained bytes do not depend on the stack budget.
 Two runs with identical configs and datasets produce bit-identical parameter
 bytes and trace rows.
 """
@@ -30,26 +32,11 @@ import numpy as np
 from .degrade import PairedDataset
 from .errors import ConfigError, DivergenceError
 from .eos import EosConfig, search_weights, validate
-from .fmm import (
-    FmmParams,
-    apply_update,
-    default_params,
-    fmm_backward,
-    fmm_forward,
-    prepare,
-    zero_grads,
-)
+from .fmm import FmmParams, GradSums, apply_update, default_params, fmm_forward, prepare
 from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, combined_loss
-from .util import stacks
+from .util import add_in_order, stacks
 
 DIVERGENCE_LIMIT = 1e6
-
-# Most pixels one training stack holds, below util.STACK_PIXELS for two reasons.
-# Peak memory: the backward keeps a stack's activations alive (on the 48 px
-# benchmark workload peak RSS rose 0.8 MB over one grid per call at this budget,
-# 3.9 MB at 16,384 and 6.6 MB with no bound). Bits: the parameter gradient is
-# summed stack by stack, so another budget changes the trained parameter bytes.
-TRAIN_STACK_PIXELS = 8192
 
 
 @dataclass(frozen=True)
@@ -87,6 +74,8 @@ class TrainConfig:
             raise ConfigError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         wsum = self.init_alpha + self.init_beta
         if self.init_alpha < 0 or self.init_beta < 0 or abs(wsum - 1.0) > 1e-9:
             raise ConfigError(
@@ -181,23 +170,19 @@ def train(
             lr = cfg.learning_rate / 2.0
 
         batch = [train_rows[i] for i in next(batches)]
-        grads = zero_grads(params)
         prep = prepare(params, h, w)
-        fid_sum = perc_sum = comb_sum = 0.0
-        for x, clean in stacks(
-            [r.degraded for r in batch], [r.clean for r in batch], TRAIN_STACK_PIXELS
-        ):
+        sums = GradSums(params, prep)
+        loss_sums = np.zeros(3)  # fidelity, perceptual, combined
+        for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
             acts = fmm_forward(x, params, prep)
             lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps)
-            grads.add(fmm_backward(acts, params, g_out, prep))
-            fid_sum += float(np.sum(lv.fidelity))
-            perc_sum += float(np.sum(lv.perceptual))
-            comb_sum += float(np.sum(lv.combined))
+            sums.add(acts, g_out)
+            add_in_order(loss_sums, np.column_stack([lv.fidelity, lv.perceptual, lv.combined]))
         nb = len(batch)
-        fid_m, perc_m, comb_m = fid_sum / nb, perc_sum / nb, comb_sum / nb
+        fid_m, perc_m, comb_m = (float(v) / nb for v in loss_sums)
         if not math.isfinite(comb_m) or comb_m > DIVERGENCE_LIMIT:
             raise DivergenceError(it, comb_m)
-        params = apply_update(params, grads, lr / nb, freeze=cfg.freeze)
+        params = apply_update(params, sums.finish(), lr / nb, freeze=cfg.freeze)
 
         trace.rows.append(
             IterationRow(it, fid_m, perc_m, comb_m, active.alpha, active.beta, lr)

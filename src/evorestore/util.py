@@ -1,4 +1,4 @@
-"""Small shared helpers: stack chunking and CSV formatting."""
+"""Small shared helpers: stack chunking, sums in grid order and CSV formatting."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import numpy as np
 
 from .grids import as_grid
 
-# Most pixels one stacked call (operator, losses) holds by default; a stack is
-# never fewer than one grid. 32,768 float64 pixels are 256 KB and MS-SSIM's
-# four-moment buffer 1 MB, so a stack fits a 2 MB per-core L2 cache; a 64 px
-# validation pass ran fastest at this budget of the five from 8,192 to 131,072
-# (README, "Stacked arrays"). Training passes trainer.TRAIN_STACK_PIXELS.
+# Most pixels one stacked call (operator, losses) holds, in training and in
+# validation; a stack is never fewer than one grid. 32,768 float64 pixels are
+# 256 KB and MS-SSIM's four-moment buffer 1 MB, so a stack fits a 2 MB per-core
+# L2 cache; a 64 px validation pass ran fastest at this budget of the five from
+# 8,192 to 131,072 (README, "Stacked arrays"). No result depends on it: the
+# validation quantities are per grid, and training sums its gradient grid by grid.
 STACK_PIXELS = 32_768
 
 
@@ -33,6 +34,15 @@ def stacks(degraded: Sequence, clean: Sequence, pixels: int = STACK_PIXELS):
             j += 1
         yield tuple(np.stack([as_grid(g) for g in seq[i:j]]) for seq in (degraded, clean))
         i = j
+
+
+def add_in_order(total: np.ndarray, terms: np.ndarray) -> None:
+    """total += each term of `terms` (one shaped like total, or a stack of them), in order.
+
+    Sums built this way are the same bits however their terms were cut into stacks.
+    """
+    for term in terms.reshape(-1, *total.shape):
+        total += term
 
 
 def fmt(x) -> str:

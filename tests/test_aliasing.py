@@ -89,5 +89,6 @@ def test_no_call_mutates_its_inputs_or_an_earlier_output(mask_mode, spatial_mode
 def test_loss_gradients_are_fresh_arrays():
     x, target, _ = inputs(48, True, *PAIRS[0])
     for grad in (charbonnier(x, target)[1], ms_ssim(x, target)[1],
-                 combined_loss(x, target, WeightPair(1.0, 0.0))[1]):
+                 combined_loss(x, target, WeightPair(1.0, 0.0))[1],
+                 combined_loss(x, target, WeightPair(0.0, 1.0))[1]):
         assert not np.shares_memory(grad, x) and not np.shares_memory(grad, target)

@@ -303,6 +303,28 @@ def test_exit_codes(run_dirs, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--set", "trainer.seed=-1"],
+        ["train", "--set", "eos.seed=-9"],
+        ["eos-trace", "--checkpoint", "unread.fmmp", "--set", "eos.seed=-1"],
+        ["train", "--set", "dataset.split_seed=-5"],
+        ["degrade", "--synthetic", "2", "--size", "16",
+         "--set", "degradation.specs=noise(sigma=0.1,seed=-3)"],
+        ["degrade", "--synthetic", "2", "--size", "16", "--image-seed", "-1", "--set", SPECS],
+    ],
+    ids=["trainer-seed", "eos-seed", "eos-trace-seed", "split-seed", "spec-seed", "image-seed"],
+)
+def test_negative_seed_is_a_config_error(argv, tmp_path, capsys):
+    # before: each passed validation and numpy raised ValueError later (exit 1, traceback)
+    rc = cli.main([*argv, "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "seed must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda blob: blob.replace(b"DATA\n", b"DATX\n", 1),  # no DATA marker

@@ -141,18 +141,74 @@ def test_stack_matches_per_image(mask_mode, spatial_mode, h, w):
 
     acts = fmm.fmm_forward(xs, p)
     grads = fmm.fmm_backward(acts, p, acts.y_hat - targets)
-    summed = fmm.zero_grads(p)
+    per_image = []
     for n in range(3):
         one = fmm.fmm_forward(xs[n], p)
         assert np.max(np.abs(acts.y_hat[n] - one.y_hat)) <= 1e-12
-        summed.add(fmm.fmm_backward(one, p, one.y_hat - targets[n]))
-    for got, want in (
-        (grads.lowpass, summed.lowpass),
-        (grads.spectral_logits, summed.spectral_logits),
-        (grads.spatial_logits, summed.spatial_logits),
-    ):
+        per_image.append(fmm.fmm_backward(one, p, one.y_hat - targets[n]))
+    for name in ("lowpass", "spectral_logits", "spatial_logits"):
+        got = getattr(grads, name)
+        want = sum(getattr(g, name) for g in per_image)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+ALL_MODES = [
+    (mask_mode, spatial_mode)
+    for mask_mode in (fmm.MASK_PER_FREQUENCY, fmm.MASK_RADIAL_BINS)
+    for spatial_mode in (fmm.SPATIAL_PER_PIXEL, fmm.SPATIAL_GAP_AFFINE)
+]
+CUTS = (0, 2, 3, 5)  # a batch of five grids as stacks of 2, 1 and 2
+
+
+def _summed_over_stacks(xs, targets, p):
+    """GradSums over the batch cut at CUTS, for the loss sum of 0.5 * |y - target|^2."""
+    prep = fmm.prepare(p, *xs.shape[-2:])
+    sums = fmm.GradSums(p, prep)
+    for a, b in zip(CUTS, CUTS[1:]):
+        acts = fmm.fmm_forward(xs[a:b], p, prep)
+        sums.add(acts, acts.y_hat - targets[a:b])
+    return sums.finish()
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", ALL_MODES)
+def test_sums_over_stacks_match_one_stack(mask_mode, spatial_mode):
+    rng = np.random.default_rng(19)
+    h, w = 45, 50
+    xs = rng.uniform(0.1, 0.9, (5, h, w))
+    targets = rng.uniform(0.1, 0.9, (5, h, w))
+    p = _random_params(rng, h, w, mask_mode, spatial_mode)
+    acts = fmm.fmm_forward(xs, p)
+    whole = fmm.fmm_backward(acts, p, acts.y_hat - targets)
+    cut = _summed_over_stacks(xs, targets, p)
+    for name in ("lowpass", "spectral_logits", "spatial_logits"):
+        got, want = getattr(cut, name), getattr(whole, name)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)
+def test_sums_over_stacks_match_finite_differences(mask_mode, spatial_mode):
+    rng = np.random.default_rng(20)
+    h, w = 45, 50
+    xs = rng.uniform(0.1, 0.9, (5, h, w))
+    targets = rng.uniform(0.1, 0.9, (5, h, w))
+    p = _random_params(rng, h, w, mask_mode, spatial_mode)
+    grads = _summed_over_stacks(xs, targets, p)
+    step = 1e-6
+    for name in ("lowpass", "spectral_logits", "spatial_logits"):
+        flat, g = getattr(p, name).ravel(), getattr(grads, name).ravel()
+        # every entry of the small blocks; a seeded sample of a per-element block's 2,250
+        picks = range(flat.size) if flat.size <= 25 else rng.choice(flat.size, 12, replace=False)
+        for idx in picks:
+            keep = flat[idx]
+            flat[idx] = keep + step
+            up = fd_loss(xs, p, targets)
+            flat[idx] = keep - step
+            dn = fd_loss(xs, p, targets)
+            flat[idx] = keep
+            fd = (up - dn) / (2 * step)
+            assert abs(fd - g[idx]) < 1e-5 * max(1.0, abs(fd)), (name, idx)
 
 
 def _complex_gate(low, mask):
@@ -430,10 +486,9 @@ def test_lowpass_grad_matches_finite_differences(mask_mode, spatial_mode, size, 
 
 def test_apply_update_and_freeze():
     p = fmm.default_params(8, 8, spatial_mode=fmm.SPATIAL_GAP_AFFINE)
-    g = fmm.zero_grads(p)
-    g.lowpass[:] = 1.0
-    g.spectral_logits[:] = 1.0
-    g.spatial_logits[:] = 1.0
+    g = fmm.FmmGrads(
+        np.ones_like(p.lowpass), np.ones_like(p.spectral_logits), np.ones_like(p.spatial_logits)
+    )
     before = p.lowpass.copy()
     q = fmm.apply_update(p, g, 0.5, freeze=("lowpass",))
     assert np.array_equal(q.lowpass, before)

@@ -265,6 +265,28 @@ def test_combined_loss_is_exact_affine_mix():
     assert np.max(np.abs(grad - (0.8 * g_fid - 0.2 * g_ms))) == 0.0
 
 
+def test_combined_loss_skips_the_zero_weighted_gradient(monkeypatch):
+    rng = np.random.default_rng(7)
+    pred = rng.uniform(0, 1, (2, 48, 48))
+    target = np.clip(pred + rng.normal(0, 0.05, pred.shape), 0, 1)
+    fid, g_fid = charbonnier(pred, target)
+    ms, g_ms = ms_ssim(pred, target)
+    mixed = combined_loss(pred, target, WeightPair(0.8, 0.2))[0]
+    lv, grad = combined_loss(pred, target, WeightPair(0.0, 1.0))
+    assert np.array_equal(grad, -g_ms)
+    assert np.array_equal(lv.fidelity, mixed.fidelity)  # the dead loss is still logged
+    assert np.array_equal(lv.combined, 0.0 * fid + 1.0 * (1.0 - ms))
+
+    def no_backward(*args):
+        raise AssertionError("MS-SSIM's backward ran at beta == 0")
+
+    monkeypatch.setattr(losses, "ms_ssim", no_backward)
+    lv, grad = combined_loss(pred, target, WeightPair(1.0, 0.0))
+    assert np.array_equal(grad, g_fid)
+    assert np.array_equal(lv.perceptual, mixed.perceptual)
+    assert np.array_equal(lv.combined, 1.0 * fid + 0.0 * (1.0 - ms))
+
+
 # Out-of-place reference of the MS-SSIM scale maps and their adjoint: every
 # map a fresh array, the window filtering a whole stack, Charbonnier's and the
 # combined gradient formed by plain expressions. The package builds the same

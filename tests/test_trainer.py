@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from evorestore import eos, fmm, trainer
+from evorestore import eos, fmm, losses, trainer
 from evorestore.degrade import DegradationSpec, SplitConfig, build_dataset, synthetic_clean_images
 from evorestore.eos import EosConfig, validate
 from evorestore.errors import ConfigError, DivergenceError
 from evorestore.trainer import (
-    TRAIN_STACK_PIXELS,
     EvalPoint,
     IterationRow,
     MetricsRow,
@@ -118,6 +117,14 @@ def test_divergence_guard():
     assert exc.value.loss > 1e6
 
 
+def test_nan_perceptual_value_diverges_at_a_vertex(monkeypatch):
+    # at beta == 0 the perceptual loss is valued but not differentiated; a NaN still stops the run
+    monkeypatch.setattr(losses, "ms_ssim_value", lambda pred, *_: np.full(len(pred), np.nan))
+    with pytest.raises(DivergenceError) as exc:
+        train(small_dataset(), small_config(init_alpha=1.0, init_beta=0.0))
+    assert exc.value.iteration == 1 and math.isnan(exc.value.loss)
+
+
 def test_lr_halving_schedule():
     ds = small_dataset()
     cfg = small_config(iterations=20, lr_halve_at=10)
@@ -135,7 +142,8 @@ def test_config_validation():
         small_config(init_alpha=0.7, init_beta=0.2).validate()  # off the simplex
     with pytest.raises(ConfigError):
         small_config(freeze=("bias",)).validate()
-    for bad in (dict(kernel_size=4), dict(kernel_size=0), dict(kernel_size=-3), dict(n_bins=1)):
+    for bad in (dict(kernel_size=4), dict(kernel_size=0), dict(kernel_size=-3), dict(n_bins=1),
+                dict(seed=-1), dict(eos=EosConfig(seed=-1))):
         with pytest.raises(ConfigError):
             small_config(**bad).validate()
     with pytest.raises(ConfigError):
@@ -245,29 +253,35 @@ def test_stacks_bound_pixels_and_split_at_shape_changes():
 
 def test_stacks_take_a_pixel_budget():
     grids = [np.full((64, 64), float(i)) for i in range(20)]
-    got = list(stacks(grids, grids, pixels=TRAIN_STACK_PIXELS))
+    got = list(stacks(grids, grids, pixels=8192))
     assert [a.shape[0] for a, _ in got] == [2] * 10
     assert np.array_equal(np.concatenate([a for a, _ in got]), np.stack(grids))
     assert [a.shape[0] for a, _ in stacks(grids[:3], grids[:3], pixels=1)] == [1, 1, 1]
 
 
-def test_training_stacks_are_smaller_than_validation_stacks(monkeypatch):
-    seen = {"train": [], "val": []}
+@pytest.mark.parametrize("mask_mode", ["per_frequency", "radial_bins"])
+@pytest.mark.parametrize("spatial_mode", ["per_pixel", "gap_affine"])
+def test_trained_bytes_do_not_depend_on_the_stack_budget(monkeypatch, mask_mode, spatial_mode):
+    ds = small_dataset()  # 24 px grids, 10 training pairs
+    cfg = small_config(iterations=6, batch_size=6, eval_every=2, mask_mode=mask_mode,
+                       spatial_mode=spatial_mode, eos=EosConfig(4, 2, 1, 0.3, 3, 0))
+    runs, sizes = [], []
+    for grids_per_stack in (1, 2, None):  # None: util.stacks' default budget
+        seen = []
 
-    def counting(key, forward):
-        def wrapped(x, *args):
-            seen[key].append(x.shape[0])
-            return forward(x, *args)
+        def budgeted(degraded, clean, grids_per_stack=grids_per_stack, seen=seen):
+            pixels = STACK_PIXELS if grids_per_stack is None else grids_per_stack * 24 * 24
+            for pair in stacks(degraded, clean, pixels):
+                seen.append(len(pair[0]))
+                yield pair
 
-        return wrapped
-
-    monkeypatch.setattr(trainer, "fmm_forward", counting("train", trainer.fmm_forward))
-    monkeypatch.setattr(eos, "fmm_forward", counting("val", eos.fmm_forward))
-    ds = small_dataset(n_images=30, size=32)  # 60 pairs of 1,024 px, 12 of them in validation
-    assert len(ds.val_idx) == 12 and 12 * 1024 <= STACK_PIXELS
-    train(ds, small_config(iterations=2, batch_size=10, eval_every=1))
-    assert seen["train"] == [TRAIN_STACK_PIXELS // 1024, 2] * 2
-    assert seen["val"] and set(seen["val"]) == {12}
+        monkeypatch.setattr(trainer, "stacks", budgeted)
+        params, trace = train(ds, cfg)
+        sizes.append(seen[:len(seen) // cfg.iterations])
+        runs.append((fmm.params_to_bytes(params), trace.rows, trace.evals, trace.weight_timeline))
+    assert sizes == [[1] * 6, [2] * 3, [6]]  # one batch as six, three and one stacks
+    assert len(runs[0][3]) == 2  # a search trigger moved the weights mid-run
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_csv_writers(tmp_path):
