@@ -331,10 +331,9 @@ def combined_loss(
 ):
     """alpha * Charbonnier + beta * (1 - MS-SSIM); returns (LossValue, grad).
 
-    At a vertex of the simplex (a weight of exactly 0.0) the zero-weighted
-    loss is still valued, so both terms are logged, but its gradient is left
-    out: MS-SSIM's backward is skipped, and neither is a gradient scaled by 0.
-    With finite gradients the result differs from a g_fid - b g_ms only in
+    At beta == 0.0 (the fidelity vertex of the simplex) MS-SSIM is still
+    valued, so both terms are logged, but its backward is skipped. With a
+    finite MS-SSIM gradient the result differs from a g_fid - b g_ms only in
     the sign of a zero.
     """
     a, b = weights.alpha, weights.beta
@@ -345,10 +344,7 @@ def combined_loss(
     else:
         ms, g_ms = ms_ssim(pred, target, ms_cfg)
         perc = 1.0 - ms
-        if a == 0.0:
-            grad = np.multiply(g_ms, -b, out=g_ms)
-        else:
-            g_fid *= a
-            grad = np.subtract(g_fid, np.multiply(g_ms, b, out=g_ms), out=g_fid)
+        g_fid *= a
+        grad = np.subtract(g_fid, np.multiply(g_ms, b, out=g_ms), out=g_fid)  # a g_fid - b g_ms
     combined = a * fid + b * perc
     return LossValue(fid, perc, combined, a, b), grad

@@ -272,6 +272,7 @@ def test_combined_loss_skips_the_zero_weighted_gradient(monkeypatch):
     fid, g_fid = charbonnier(pred, target)
     ms, g_ms = ms_ssim(pred, target)
     mixed = combined_loss(pred, target, WeightPair(0.8, 0.2))[0]
+    # alpha == 0 takes the general a g_fid - b g_ms; only beta == 0 skips a backward
     lv, grad = combined_loss(pred, target, WeightPair(0.0, 1.0))
     assert np.array_equal(grad, -g_ms)
     assert np.array_equal(lv.fidelity, mixed.fidelity)  # the dead loss is still logged
