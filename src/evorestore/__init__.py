@@ -32,7 +32,6 @@ from .fmm import (
 )
 from .grids import (
     conv2_periodic,
-    corr2_periodic,
     fft2,
     gaussian_kernel,
     identity_kernel,
@@ -65,7 +64,6 @@ __all__ = [
     "charbonnier",
     "combined_loss",
     "conv2_periodic",
-    "corr2_periodic",
     "default_params",
     "eos_overhead_report",
     "evaluate",

@@ -141,16 +141,6 @@ def conv2_periodic(x, k) -> np.ndarray:
     return out
 
 
-def corr2_periodic(x, k) -> np.ndarray:
-    """Circular 2D correlation: the adjoint of conv2_periodic in <.,.>.
-
-    Equal to convolution with the doubly-flipped kernel, hence
-    <conv2_periodic(x, k), y> == <x, corr2_periodic(y, k)> exactly (up to fp).
-    """
-    k = as_kernel(k)
-    return conv2_periodic(x, k[::-1, ::-1].copy())
-
-
 def transfer(k, h: int, w: int) -> np.ndarray:
     """Transfer function of a kernel on an h x w periodic grid.
 

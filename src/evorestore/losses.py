@@ -15,6 +15,7 @@ with cached circulant matrices of the separable window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +79,27 @@ def _per_grid(v: np.ndarray):
     return v.item() if v.ndim == 2 else v.reshape(-1)
 
 
+def charbonnier_eps_squared(eps: float) -> float:
+    """eps^2 for a valid Charbonnier eps: eps > 0 and eps * eps a positive finite float.
+
+    Outside that range eps^2 overflows to inf (every loss is inf) or
+    underflows to 0 (the gradient is 0/0 = NaN wherever pred == target).
+    """
+    eps2 = eps * eps
+    if not (eps > 0 and 0.0 < eps2 < math.inf):
+        raise ConfigError(
+            f"charbonnier eps must be > 0 with eps * eps a positive finite float, got {eps}"
+        )
+    return eps2
+
+
 def charbonnier(pred, target, eps: float = DEFAULT_CHARBONNIER_EPS):
     """Smooth L1 fidelity: mean(sqrt(diff^2 + eps^2)) and its exact gradient."""
     pred, target = _pair(pred, target)
-    if not eps > 0:
-        raise ConfigError(f"charbonnier eps must be > 0, got {eps}")
+    eps2 = charbonnier_eps_squared(eps)
     diff = pred - target
     root = diff * diff
-    np.sqrt(np.add(root, eps * eps, out=root), out=root)
+    np.sqrt(np.add(root, eps2, out=root), out=root)
     value = _per_grid(_grid_mean(root))
     root *= diff.shape[-2] * diff.shape[-1]
     return value, np.divide(diff, root, out=diff)

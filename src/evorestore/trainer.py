@@ -33,7 +33,7 @@ from .degrade import PairedDataset
 from .errors import ConfigError, DivergenceError
 from .eos import EosConfig, search_weights, validate
 from .fmm import FmmParams, GradSums, apply_update, default_params, fmm_forward, prepare
-from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, combined_loss
+from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier_eps_squared, combined_loss
 from .util import add_in_order, stacks
 
 DIVERGENCE_LIMIT = 1e6
@@ -76,6 +76,7 @@ class TrainConfig:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        charbonnier_eps_squared(self.charbonnier_eps)
         wsum = self.init_alpha + self.init_beta
         if self.init_alpha < 0 or self.init_beta < 0 or abs(wsum - 1.0) > 1e-9:
             raise ConfigError(

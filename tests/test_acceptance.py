@@ -28,7 +28,7 @@ from evorestore.eos import (
     run_eos,
     val_losses,
 )
-from evorestore.grids import fft2, identity_kernel, transfer
+from evorestore.grids import identity_kernel
 from evorestore.trainer import TrainConfig, train
 
 
@@ -44,27 +44,10 @@ def report(tag, ok, detail):
 
 def test_a1_band_split_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1001)
-    worst_spec = worst_sum = 0.0
-    for _ in range(50):
-        h = int(rng.integers(8, 65))
-        w = int(rng.integers(8, 65))
-        x = rng.random((h, w))
-        k = rng.normal(size=(int(rng.choice([3, 5, 7])),) * 2)
-        k /= max(np.sum(np.abs(k)), 1e-9)
-        p = fmm.default_params(h, w)
-        p.lowpass = k
-        high, _, _ = fmm.band_split(x, p)
-        low = x - high
-        worst_spec = max(worst_spec, float(np.max(np.abs(fft2(low) - transfer(k, h, w) * fft2(x)))))
-        worst_sum = max(worst_sum, float(np.max(np.abs(low + high - x))))
+    r = oracles.check_split_equivalence(50, seed=1001)
     dt = time.perf_counter() - t0
-    ok = worst_spec <= 1e-9 and worst_sum <= 1e-12 and dt < 5.0
-    report(
-        "A1 band-split equivalence",
-        ok,
-        f"spectral {worst_spec:.2e} <= 1e-9, sum {worst_sum:.2e} <= 1e-12, 50 pairs in {dt:.1f}s",
-    )
+    ok = r.passed and dt < 5.0
+    report("A1 band-split equivalence", ok, f"{r.detail}, 50 pairs in {dt:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,22 @@ def test_non_integer_manifest_field_exit_code(run_dirs, tmp_path, capsys, field)
     _assert_exit_5(rc, capsys, "manifest.txt", lines[2])
 
 
+@pytest.mark.parametrize("eps", ["1e200", "1e-200"])
+def test_charbonnier_eps_out_of_range_is_a_config_error(eps, run_dirs, tmp_path, capsys):
+    # before: 1e200 squared to inf (exit 3, "diverged at iteration 1"); 1e-200
+    # squared to 0 and passed, giving NaN gradients wherever pred == target
+    data, _ = run_dirs
+    capsys.readouterr()
+    rc = cli.main(
+        ["train", "--manifest", str(data / "manifest.txt"), *TINY_TRAIN,
+         "--set", f"trainer.charbonnier_eps={eps}", "-o", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "charbonnier eps" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_divergence_exit_code(run_dirs, tmp_path):
     data, _ = run_dirs
     rc = cli.main(

@@ -22,19 +22,8 @@ from evorestore.eos import (
 )
 from evorestore.errors import ConfigError, NumericIntegrityError
 from evorestore.grids import identity_kernel
+from evorestore.oracles import simplex_projection_oracle
 from evorestore.util import STACK_PIXELS, write_records
-
-
-def sort_projection_oracle(v):
-    """Euclidean projection onto the probability simplex, sort-based form."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    tau = css[cond][-1] / rho
-    return np.maximum(v - tau, 0.0)
 
 
 def test_projection_worked_examples():
@@ -63,7 +52,7 @@ def test_projection_invariants_and_oracle_match():
         p = project_simplex(v[0], v[1])
         assert p.alpha >= 0.0 and p.beta >= 0.0
         assert p.alpha + p.beta == 1.0  # exact by construction
-        ref = sort_projection_oracle(v)
+        ref = simplex_projection_oracle(v)
         assert abs(p.alpha - ref[0]) < 1e-12 and abs(p.beta - ref[1]) < 1e-12
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evorestore import fmm, grids
+from evorestore import fmm, grids, oracles
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.grids import fft2, gaussian_kernel, identity_kernel, ifft2, transfer
 from evorestore.util import STACK_PIXELS
@@ -37,6 +37,19 @@ def test_band_split_spectral_identity():
     low = x - fmm.band_split(x, p)[0]
     g = transfer(p.lowpass, 16, 16)
     assert np.max(np.abs(fft2(low) - g * fft2(x))) < 1e-9
+
+
+def test_split_oracle_fails_when_band_split_is_broken(monkeypatch):
+    # the oracle must run the operator's own split, not a reference of it
+    assert oracles.check_split_equivalence(5).passed
+    split = fmm.band_split
+
+    def broken(x, p, prep=None):
+        high, X, U = split(x, p, prep)
+        return high * (1 + 1e-6), X, U
+
+    monkeypatch.setattr(fmm, "band_split", broken)
+    assert not oracles.check_split_equivalence(5).passed
 
 
 def test_saturated_gates_give_identity_model():

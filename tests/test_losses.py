@@ -54,6 +54,25 @@ def test_charbonnier_gradient_finite_difference():
         assert abs(fd - grad[idx]) < 1e-8
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf"), 1e200, 1e-200])
+def test_charbonnier_rejects_eps_whose_square_is_not_positive_finite(eps):
+    # 1e-200 squares to 0: the gradient was 0/0 = NaN wherever pred == target
+    x = np.zeros((16, 16))
+    y = x.copy()
+    y[3, 5] = 0.5
+    with pytest.raises(ConfigError):
+        charbonnier(x, y, eps=eps)
+
+
+def test_charbonnier_tiny_and_huge_eps_stay_finite():
+    x = np.zeros((16, 16))
+    y = x.copy()
+    y[3, 5] = 0.5
+    for eps in (1e-150, 1e150):
+        val, grad = charbonnier(x, y, eps=eps)
+        assert np.isfinite(val) and np.all(np.isfinite(grad))
+
+
 def test_ms_ssim_identical_is_one():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (48, 48))
