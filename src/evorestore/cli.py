@@ -8,10 +8,8 @@ divergence, 4 oracle check failure, 5 corrupt or inconsistent input.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 from . import __version__
@@ -26,15 +24,15 @@ from .degrade import (
 from .eos import (
     CandidateRecord,
     OverheadReport,
+    TriggerSummary,
     eos_overhead_report,
     run_eos,
-    write_summary_csv,
 )
 from .errors import ConfigError, DimensionError, DivergenceError, NumericIntegrityError
 from .fmm import load_params, save_params
 from .losses import WeightPair
 from .trainer import EvalPoint, IterationRow, MetricsRow, evaluate, train
-from .util import write_records
+from .util import parse_cell, read_records, write_records
 
 OUT_ENV = "EVORESTORE_OUT"
 
@@ -159,7 +157,8 @@ def _cmd_train(args) -> int:
     write_records(os.path.join(args.out, "eval.csv"), EvalPoint, trace.evals)
     candidates = [r for t in trace.eos_traces for r in t.records]
     write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, candidates)
-    write_summary_csv(os.path.join(args.out, "eos_summary.csv"), trace.eos_traces)
+    summaries = [t.summary() for t in trace.eos_traces]
+    write_records(os.path.join(args.out, "eos_summary.csv"), TriggerSummary, summaries)
     with open(os.path.join(args.out, "run_summary.txt"), "w") as fh:
         fh.write(f"iterations = {app.trainer.iterations}\n")
         fh.write(f"wall_ms = {trace.wall_ms!r}\n")
@@ -205,7 +204,7 @@ def _cmd_eos_trace(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, trace.records)
-    write_summary_csv(os.path.join(args.out, "eos_summary.csv"), [trace])
+    write_records(os.path.join(args.out, "eos_summary.csv"), TriggerSummary, [trace.summary()])
     print("generation  best_fitness        winner_so_far")
     for g, best in enumerate(trace.best_per_generation):
         print(f"{g:>10}  {best:>18.12f}")
@@ -231,63 +230,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _read_kv(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            if "=" in line:
-                k, _, v = line.partition("=")
-                out[k.strip()] = v.strip()
-    return out
-
-
-def _read_csv(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return [], []
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
-def _number(text, parse, where) -> float:
-    """Parse one finite number from a run file, or raise ConfigError naming `where`."""
+    """The `key = value` lines of run_summary.txt, later keys winning."""
     try:
-        value = parse(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
-    return value
-
-
-# eos_summary.csv column (an EosTrace attribute eos_overhead_report reads) -> parser
-_SUMMARY_COLUMNS = {"eval_ms": float, "total_ms": float, "evaluations": int}
-
-
-def _read_eos_summary(path) -> list:
-    """Rows of eos_summary.csv as the timing records eos_overhead_report sums."""
-    header, rows = _read_csv(path)
-    for name in _SUMMARY_COLUMNS:
-        if name not in header:
-            raise ConfigError(f"{path}: missing column {name!r}")
-    records = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}:{lineno}: {len(row)} fields, header has {len(header)}")
-        fields = {
-            name: _number(row[header.index(name)], parse, f"{path}:{lineno}: column {name!r}")
-            for name, parse in _SUMMARY_COLUMNS.items()
-        }
-        records.append(SimpleNamespace(**fields))
-    return records
+        with open(path, encoding="utf-8") as fh:
+            pairs = [line.partition("=") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise NumericIntegrityError(f"{path}: not UTF-8 text") from exc
+    return {k.strip(): v.strip() for k, sep, v in pairs if sep}
 
 
 def _cmd_report(args) -> int:
     run_dir = args.run
-    summary_path = os.path.join(run_dir, "run_summary.txt")
-    wall_text = _read_kv(summary_path).get("wall_ms", "0")
-    train_wall_ms = _number(wall_text, float, f"{summary_path}: wall_ms")
-    records = _read_eos_summary(os.path.join(run_dir, "eos_summary.csv"))
+    summary = os.path.join(run_dir, "run_summary.txt")
+    wall_text = _read_kv(summary).get("wall_ms", "0")
+    try:
+        train_wall_ms = parse_cell("float", wall_text)
+    except ValueError as exc:
+        raise NumericIntegrityError(f"{summary}: wall_ms {wall_text!r} is not finite") from exc
+    records = read_records(os.path.join(run_dir, "eos_summary.csv"), TriggerSummary)
     report = eos_overhead_report(records, train_wall_ms)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "overhead.csv"), OverheadReport, [report])
@@ -348,19 +308,19 @@ def _write_line_chart(path, xs, ys, xlabel, ylabel) -> None:
 def _render_svg(run_dir, out_dir) -> None:
     """Chart the combined loss from trace.csv and the validation PSNR from eval.csv.
 
-    A CSV without data rows gives no chart, and a missing eval.csv is skipped.
+    Both go through read_records, so a malformed file is NumericIntegrityError;
+    a header with no rows gives no chart, and a missing eval.csv is skipped.
     """
-    charts = [("trace.csv", "loss_combined", "combined loss", "loss_curve.svg")]
+    charts = [("trace.csv", IterationRow, "loss_combined", "combined loss", "loss_curve.svg")]
     if os.path.exists(os.path.join(run_dir, "eval.csv")):
-        charts.append(("eval.csv", "psnr", "validation PSNR (dB)", "psnr_curve.svg"))
-    for csv_name, column, ylabel, svg_name in charts:
-        header, rows = _read_csv(os.path.join(run_dir, csv_name))
-        if rows:
-            col = header.index(column)
+        charts.append(("eval.csv", EvalPoint, "psnr", "validation PSNR (dB)", "psnr_curve.svg"))
+    for csv_name, cls, column, ylabel, svg_name in charts:
+        records = read_records(os.path.join(run_dir, csv_name), cls)
+        if records:
             _write_line_chart(
                 os.path.join(out_dir, svg_name),
-                [int(r[0]) for r in rows],
-                [float(r[col]) for r in rows],
+                [r.iteration for r in records],
+                [getattr(r, column) for r in records],
                 "iteration",
                 ylabel,
             )

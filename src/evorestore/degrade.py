@@ -31,6 +31,7 @@ from .grids import (
     read_fgrid,
     write_fgrid,
 )
+from .util import read_records, write_records
 
 # kind -> the DegradationSpec fields it reads; every other field keeps its default
 KIND_FIELDS = {
@@ -381,11 +382,19 @@ def build_dataset(source_images, specs, split: SplitConfig) -> PairedDataset:
     return PairedDataset(rows, train, val, test)
 
 
-MANIFEST_HEADER = ("index", "kind", "seed", "clean_path", "degraded_path")
+@dataclass
+class ManifestRow:
+    """One line of manifest.txt: a pair and its two grid files, relative to the manifest."""
+
+    index: int
+    kind: str
+    seed: int
+    clean_path: str
+    degraded_path: str
 
 
 def write_dataset(out_dir, dataset: PairedDataset) -> str:
-    """Materialize FGRID files plus 'index,kind,seed,clean_path,degraded_path'.
+    """Materialize FGRID files plus manifest.txt, one ManifestRow per pair.
 
     Each distinct clean array (by identity: build_dataset shares one per source
     image across its pairs) is written once, as clean/<index of the first pair
@@ -396,9 +405,8 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
     subdirs = ("clean", "degraded")
     for sub in subdirs:
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    lines = [",".join(MANIFEST_HEADER)]
+    rows = []
     clean_paths = {}  # id(clean array) -> its path; the rows keep every array alive
-    named = set()
     for row in dataset.pairs:
         cpath = clean_paths.get(id(row.clean))
         if cpath is None:
@@ -406,11 +414,10 @@ def write_dataset(out_dir, dataset: PairedDataset) -> str:
             write_fgrid(os.path.join(out_dir, cpath), row.clean)
         dpath = os.path.join("degraded", f"{row.index:05d}.fgrid")
         write_fgrid(os.path.join(out_dir, dpath), row.degraded)
-        lines.append(f"{row.index},{row.kind},{row.seed},{cpath},{dpath}")
-        named.update((cpath, dpath))
+        rows.append(ManifestRow(row.index, row.kind, row.seed, cpath, dpath))
     manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_records(manifest, ManifestRow, rows)
+    named = {p for r in rows for p in (r.clean_path, r.degraded_path)}
     for sub in subdirs:
         for name in os.listdir(os.path.join(out_dir, sub)):
             rel = os.path.join(sub, name)
@@ -427,39 +434,13 @@ def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
     image once; one with a clean file per pair loads a copy per pair.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise NumericIntegrityError(f"{manifest_path}: manifest is not UTF-8 text") from exc
-    if not lines or lines[0] != ",".join(MANIFEST_HEADER):
-        raise NumericIntegrityError(f"{manifest_path}: malformed manifest header")
     rows = []
     cleans = {}  # clean_path -> its grid
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise NumericIntegrityError(f"{manifest_path}: bad manifest row {ln!r}")
-        idx, kind, seed, cpath, dpath = parts
-        try:
-            idx, seed = int(idx), int(seed)
-        except ValueError as exc:
-            raise NumericIntegrityError(
-                f"{manifest_path}: manifest row {ln!r}: index and seed must be integers"
-            ) from exc
-        if "\0" in cpath + dpath:
-            raise NumericIntegrityError(f"{manifest_path}: NUL byte in manifest row {ln!r}")
-        if cpath not in cleans:
-            cleans[cpath] = read_image(os.path.join(base, cpath))
-        rows.append(
-            PairRow(
-                index=idx,
-                kind=kind,
-                seed=seed,
-                clean=cleans[cpath],
-                degraded=read_image(os.path.join(base, dpath)),
-            )
-        )
+    for m in read_records(manifest_path, ManifestRow):
+        if m.clean_path not in cleans:
+            cleans[m.clean_path] = read_image(os.path.join(base, m.clean_path))
+        degraded = read_image(os.path.join(base, m.degraded_path))
+        rows.append(PairRow(m.index, m.kind, m.seed, cleans[m.clean_path], degraded))
     split.validate()
     train, val, test = _stratified_split([r.kind for r in rows], split)
     return PairedDataset(rows, train, val, test)

@@ -25,13 +25,14 @@ from .degrade import PSNR_CAP_DB, psnr
 from .errors import ConfigError, NumericIntegrityError
 from .fmm import FmmParams, fmm_forward, prepare
 from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier, ssim_and_ms_ssim
-from .util import stacks, write_csv
+from .util import stacks
 
 __all__ = [
     "WeightPair",
     "EosConfig",
     "CandidateRecord",
     "EosTrace",
+    "TriggerSummary",
     "OverheadReport",
     "project_simplex",
     "sample_simplex",
@@ -42,7 +43,6 @@ __all__ = [
     "run_eos",
     "search_weights",
     "eos_overhead_report",
-    "write_summary_csv",
 ]
 
 
@@ -122,6 +122,24 @@ class EosTrace:
     eval_ms: float  # the validation pass behind the search
     total_ms: float  # the pass plus the search itself
     records: list = field(default_factory=list)
+
+    def summary(self) -> TriggerSummary:
+        w = self.winner
+        return TriggerSummary(
+            self.trigger_index, w.alpha, w.beta, self.eval_ms, self.total_ms, self.evaluations
+        )
+
+
+@dataclass
+class TriggerSummary:
+    """One line of eos_summary.csv: a trigger's winner and its wall-clock cost."""
+
+    trigger: int
+    winner_alpha: float
+    winner_beta: float
+    eval_ms: float
+    total_ms: float
+    evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +355,8 @@ class OverheadReport:
 
 
 def eos_overhead_report(traces, train_wall_ms: float) -> OverheadReport:
-    """Aggregate wall-clock accounting; eval_ms + residual_ms == total_ms exactly."""
+    """Aggregate wall-clock accounting of EosTrace or TriggerSummary records;
+    eval_ms + residual_ms == total_ms exactly."""
     traces = list(traces)
     total = sum(t.total_ms for t in traces)
     eval_ms = sum(t.eval_ms for t in traces)
@@ -350,28 +369,3 @@ def eos_overhead_report(traces, train_wall_ms: float) -> OverheadReport:
         train_wall_ms=train_wall_ms,
         pct_of_train=(100.0 * total / train_wall_ms) if train_wall_ms > 0 else 0.0,
     )
-
-
-SUMMARY_HEADER = (
-    "trigger",
-    "winner_alpha",
-    "winner_beta",
-    "eval_ms",
-    "total_ms",
-    "evaluations",
-)
-
-
-def write_summary_csv(path, traces) -> None:
-    rows = [
-        (
-            t.trigger_index,
-            t.winner.alpha,
-            t.winner.beta,
-            t.eval_ms,
-            t.total_ms,
-            t.evaluations,
-        )
-        for t in traces
-    ]
-    write_csv(path, SUMMARY_HEADER, rows)

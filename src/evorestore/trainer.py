@@ -133,31 +133,23 @@ def _dataset_shape(dataset: PairedDataset):
     return next(iter(shapes))
 
 
-def train(
-    dataset: PairedDataset,
-    cfg: TrainConfig,
-    *,
-    params: FmmParams | None = None,
-):
-    """Run the loop; returns (trained FmmParams, TrainTrace)."""
+def train(dataset: PairedDataset, cfg: TrainConfig):
+    """Run the loop from default_params; returns (trained FmmParams, TrainTrace)."""
     cfg.validate()
     train_rows = dataset.rows("train")
     if not train_rows:
         raise ConfigError("dataset has no training pairs")
     h, w = _dataset_shape(dataset)
-    if params is None:
-        if cfg.kernel_size > min(h, w):
-            raise ConfigError(f"kernel_size {cfg.kernel_size} exceeds the {h}x{w} grids")
-        params = default_params(
-            h,
-            w,
-            mask_mode=cfg.mask_mode,
-            spatial_mode=cfg.spatial_mode,
-            kernel_size=cfg.kernel_size,
-            n_bins=cfg.n_bins,
-        )
-    else:
-        params = params.copy()
+    if cfg.kernel_size > min(h, w):
+        raise ConfigError(f"kernel_size {cfg.kernel_size} exceeds the {h}x{w} grids")
+    params = default_params(
+        h,
+        w,
+        mask_mode=cfg.mask_mode,
+        spatial_mode=cfg.spatial_mode,
+        kernel_size=cfg.kernel_size,
+        n_bins=cfg.n_bins,
+    )
     val_set = dataset.restoration_pairs("val")
     batches = _batches(len(train_rows), cfg.batch_size, np.random.default_rng(cfg.seed))
     active = WeightPair(cfg.init_alpha, cfg.init_beta)

@@ -1,12 +1,16 @@
-"""Small shared helpers: stack chunking, sums in grid order and CSV formatting."""
+"""Small shared helpers: stack chunking, sums in grid order and CSV records."""
 
 from __future__ import annotations
 
+import io
+import math
+import numbers
 from dataclasses import fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import NumericIntegrityError
 from .grids import as_grid
 
 # Most pixels one stacked call (operator, losses) holds, in training and in
@@ -46,23 +50,74 @@ def add_in_order(total: np.ndarray, terms: np.ndarray) -> None:
 
 
 def fmt(x) -> str:
-    """Format a scalar for CSV output: shortest round-trip float repr."""
-    if isinstance(x, bool):
+    """One CSV cell: text as is, bools 0/1, integers exactly, else the shortest float repr."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
+    if isinstance(x, numbers.Integral):
+        return str(int(x))
     return repr(float(x))
-
-
-def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_records(path, cls, records: Iterable) -> None:
     """Write dataclass records as CSV: one column per field of `cls`, in field order."""
     names = [f.name for f in fields(cls)]
-    write_csv(path, names, ([getattr(r, n) for n in names] for r in records))
+    lines = [",".join(names)] + [",".join(fmt(getattr(r, n)) for n in names) for r in records]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def parse_cell(kind: str, text: str):
+    """One cell as the type `kind` names (int, finite float or NUL-free str), or ValueError."""
+    if kind == "str":
+        if "\0" in text:
+            raise ValueError("NUL byte")
+        return text
+    value = {"int": int, "float": float}[kind](text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def read_records(path, cls) -> list:
+    """The `cls` records of a CSV as write_records writes it, or NumericIntegrityError.
+
+    Stripped, non-blank lines: the header is `cls`'s field names in order, and
+    each row one cell per field, an int, finite float or NUL-free str as the
+    field is annotated. Anything else, non-UTF-8 bytes included, raises with
+    the path, line, column and row.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raw = data.split(b"\n")[lineno - 1]
+        raise NumericIntegrityError(f"{path}:{lineno}: not UTF-8 text in row {raw!r}") from exc
+    rows = enumerate(io.StringIO(text, newline=None), 1)
+    lines = [(n, ln.strip()) for n, ln in rows if ln.strip()]
+    cols = fields(cls)
+    header = ",".join(f.name for f in cols)
+    if not lines or lines[0][1] != header:
+        n, got = lines[0] if lines else (1, "")
+        raise NumericIntegrityError(f"{path}:{n}: header {got!r}, expected {header!r}")
+    records = []
+    for n, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            raise NumericIntegrityError(
+                f"{path}:{n}: {len(cells)} cells, expected {len(cols)}, in row {line!r}"
+            )
+        values = []
+        for f, cell in zip(cols, cells):
+            try:
+                values.append(parse_cell(f.type, cell))
+            except ValueError as exc:
+                raise NumericIntegrityError(
+                    f"{path}:{n}: column {f.name!r}: {cell!r} is not a valid {f.type}, "
+                    f"in row {line!r}"
+                ) from exc
+        records.append(cls(*values))
+    return records

@@ -1,7 +1,8 @@
 """Command-line interface and config parsing, exercised in-process via main()."""
 
-import shutil
 import dataclasses
+import re
+import shutil
 
 import pytest
 
@@ -232,13 +233,14 @@ def test_report_svg_charts(run_dirs, tmp_path):
     assert len(flat) == 3 and len({y for _, y in flat}) == 1
     assert len(_polyline_points(edge / "o" / "psnr_curve.svg")) == 1
 
-    # an eval.csv without data rows, or none at all, skips the PSNR chart
-    for eval_text in ("iteration,psnr,ssim,loss_fid,loss_perc\n", ""):
-        (edge / "eval.csv").write_text(eval_text)
-        dest = edge / f"o{len(eval_text)}"
-        assert cli.main(["report", "--run", str(edge), "--svg", "-o", str(dest)]) == 0
-        assert (dest / "loss_curve.svg").exists()
-        assert not (dest / "psnr_curve.svg").exists()
+    # an eval.csv with a header and no rows, or none at all, skips the PSNR chart
+    (edge / "eval.csv").write_text("iteration,psnr,ssim,loss_fid,loss_perc\n")
+    assert cli.main(["report", "--run", str(edge), "--svg", "-o", str(edge / "rows0")]) == 0
+    assert (edge / "rows0" / "loss_curve.svg").exists()
+    assert not (edge / "rows0" / "psnr_curve.svg").exists()
+    # a 0-byte eval.csv has no header, so it is malformed
+    (edge / "eval.csv").write_text("")
+    assert cli.main(["report", "--run", str(edge), "--svg", "-o", str(edge / "bytes0")]) == 5
     (edge / "eval.csv").unlink()
     assert cli.main(["report", "--run", str(edge), "--svg", "-o", str(edge / "none")]) == 0
     assert not (edge / "none" / "psnr_curve.svg").exists()
@@ -248,16 +250,64 @@ def test_report_rejects_malformed_eos_summary(run_dirs, tmp_path, capsys):
     _, out = run_dirs
     (tmp_path / "run_summary.txt").write_text((out / "run_summary.txt").read_text())
     summary = tmp_path / "eos_summary.csv"
+    header = "trigger,winner_alpha,winner_beta,eval_ms,total_ms,evaluations\n"
     for text, column in (
         ("trigger,eval_ms\n1,2.5\n", "total_ms"),
-        ("trigger,eval_ms,total_ms,evaluations\n1,2.5,fast,6\n", "total_ms"),
-        ("trigger,eval_ms,total_ms,evaluations\n1,2.5,3.0,6.5\n", "evaluations"),
+        (header + "1,0.5,0.5,2.5,fast,6\n", "'total_ms'"),
+        (header + "1,0.5,0.5,2.5,3.0,6.5\n", "'evaluations'"),
     ):
         summary.write_text(text)
         capsys.readouterr()
-        assert cli.main(["report", "--run", str(tmp_path), "-o", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "eos_summary.csv" in err and repr(column) in err
+        rc = cli.main(["report", "--run", str(tmp_path), "-o", str(tmp_path / "o")])
+        _assert_exit_5(rc, capsys, "eos_summary.csv", column)
+
+
+def _replace_cell(blob, col, value):
+    """The CSV `blob` with cell `col` of its first data row set to `value`."""
+    lines = blob.split(b"\n")
+    cells = lines[1].split(b",")
+    cells[col] = value
+    lines[1] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+def _drop_column(blob, col):
+    return b"\n".join(
+        b",".join(c for i, c in enumerate(ln.split(b",")) if i != col) for ln in blob.split(b"\n")
+    )
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("trace.csv", lambda b: _drop_column(b, 3)),
+        ("trace.csv", lambda b: _replace_cell(b, 3, b"nan")),
+        ("trace.csv", lambda b: _replace_cell(b, 3, b"inf")),
+        ("trace.csv", lambda b: _replace_cell(b, 0, b"1.5")),
+        ("eval.csv", lambda b: _replace_cell(b, 1, b"-inf")),
+        ("run_summary.txt", lambda b: re.sub(rb"wall_ms = .*", b"wall_ms = nan", b)),
+        ("run_summary.txt", lambda b: b"\xff" + b),
+        ("eos_summary.csv", lambda b: _replace_cell(b, 1, b"0.5\xff")),
+        ("trace.csv", lambda b: _replace_cell(b, 1, b"\xfe0.1")),
+        ("eval.csv", lambda b: b"\x80" + b),
+    ],
+    ids=[
+        "trace-missing-column", "trace-nan", "trace-inf", "trace-float-iteration",
+        "eval-minus-inf", "summary-nan-wall-ms", "summary-non-utf8", "eos-summary-non-utf8",
+        "trace-non-utf8", "eval-non-utf8",
+    ],
+)
+def test_report_svg_rejects_malformed_run_files(run_dirs, tmp_path, capsys, name, edit):
+    _, out = run_dirs
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / name).write_bytes(edit((run / name).read_bytes()))
+    capsys.readouterr()
+    rc = cli.main(["report", "--run", str(run), "--svg", "-o", str(tmp_path / "o")])
+    _assert_exit_5(rc, capsys, name)
+    # no chart of a malformed series is written
+    svg = {"trace.csv": "loss_curve.svg", "eval.csv": "psnr_curve.svg"}.get(name)
+    assert svg is None or not (tmp_path / "o" / svg).exists()
 
 
 def test_oracle_command_filter():

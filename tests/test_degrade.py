@@ -5,7 +5,6 @@ import pytest
 
 from evorestore.degrade import (
     DegradationSpec,
-    MANIFEST_HEADER,
     SplitConfig,
     apply_degradation,
     build_dataset,
@@ -19,6 +18,8 @@ from evorestore.degrade import (
 )
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.losses import ssim_index
+
+MANIFEST_HEADER = "index,kind,seed,clean_path,degraded_path"
 
 
 def flat(v=0.5, n=32):
@@ -204,7 +205,7 @@ def test_dataset_write_load_round_trip(tmp_path):
     ds = make_dataset()
     manifest = write_dataset(tmp_path, ds)
     header = open(manifest).readline().strip()
-    assert header == ",".join(MANIFEST_HEADER)
+    assert header == MANIFEST_HEADER
     back = load_dataset(manifest, SplitConfig(0.2, 0.0, 9))
     assert len(back.pairs) == len(ds.pairs)
     assert back.val_idx == ds.val_idx
@@ -212,6 +213,20 @@ def test_dataset_write_load_round_trip(tmp_path):
         assert a.kind == b.kind and a.seed == b.seed
         assert np.array_equal(a.clean, b.clean)
         assert np.array_equal(a.degraded, b.degraded)
+
+
+def test_dataset_with_a_numpy_seed_round_trips(tmp_path):
+    # DegradationSpec accepts any integral seed; the manifest must write it as an integer
+    images = synthetic_clean_images(3, 16, 16, seed=1)
+    spec = DegradationSpec("noise", sigma=0.1, seed=np.int64(5))
+    ds = build_dataset(images, [spec], SplitConfig(0.34, 0.0, 0))
+    manifest = write_dataset(tmp_path, ds)
+    lines = open(manifest).read().splitlines()
+    assert lines[0] == MANIFEST_HEADER
+    assert [ln.split(",")[2] for ln in lines[1:]] == ["5", "6", "7"]
+    back = load_dataset(manifest, SplitConfig(0.34, 0.0, 0))
+    assert [r.seed for r in back.pairs] == [5, 6, 7]
+    assert [r.degraded.tobytes() for r in back.pairs] == [r.degraded.tobytes() for r in ds.pairs]
 
 
 def test_write_dataset_stores_one_clean_file_per_source_image(tmp_path):
@@ -240,7 +255,7 @@ def write_old_layout(root, ds):
     for every pair."""
     from evorestore.grids import write_fgrid
 
-    lines = [",".join(MANIFEST_HEADER)]
+    lines = [MANIFEST_HEADER]
     for sub in ("clean", "degraded"):
         (root / sub).mkdir(parents=True)
     for r in ds.pairs:

@@ -9,6 +9,7 @@ from evorestore import fmm
 from evorestore.eos import (
     CandidateRecord,
     EosConfig,
+    TriggerSummary,
     WeightPair,
     eos_overhead_report,
     evaluate_fitness,
@@ -18,7 +19,6 @@ from evorestore.eos import (
     search_weights,
     val_losses,
     validate,
-    write_summary_csv,
 )
 from evorestore.errors import ConfigError, NumericIntegrityError
 from evorestore.grids import identity_kernel
@@ -325,7 +325,7 @@ def test_trace_csv_schema(tmp_path):
     tp = tmp_path / "eos_trace.csv"
     sp = tmp_path / "eos_summary.csv"
     write_records(tp, CandidateRecord, trace.records)
-    write_summary_csv(sp, [trace])
+    write_records(sp, TriggerSummary, [trace.summary()])
     lines = tp.read_text().strip().split("\n")
     assert lines[0] == "trigger,generation,candidate,alpha,beta,fitness,is_elite,is_winner"
     assert len(lines) == 1 + 8  # population x generations rows

@@ -1,8 +1,9 @@
 """Property tests for the on-disk formats: any bytes parse or raise a package error.
 
-Each file parser (FMMP checkpoints, FGRID and PGM images, dataset manifests)
-gets three kinds of input: arbitrary bytes, a valid file with random edits,
-and a header assembled from plausible and arbitrary tokens. A parse must
+Each file parser (FMMP checkpoints, FGRID and PGM images, dataset manifests,
+and the CSV record reader behind the manifest and `report`'s run files) gets
+three kinds of input: arbitrary bytes, a valid file with random edits, and a
+header assembled from plausible and arbitrary tokens. A parse must
 succeed with a well-formed result or raise ConfigError, DimensionError or
 NumericIntegrityError, which the CLI maps to exit codes 2 and 5. Config files
 (arbitrary bytes) and `--set` overrides (known or arbitrary keys, arbitrary
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 
 from evorestore import fmm
 from evorestore.config import documented_keys, load_config
-from evorestore.degrade import SplitConfig, load_dataset, read_pgm, write_pgm
+from evorestore.degrade import ManifestRow, SplitConfig, load_dataset, read_pgm, write_pgm
+from evorestore.eos import TriggerSummary
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.grids import read_fgrid, write_fgrid
+from evorestore.trainer import EvalPoint, IterationRow
+from evorestore.util import fmt, read_records, write_records
 
 PACKAGE_ERRORS = (ConfigError, DimensionError, NumericIntegrityError)
 
@@ -243,6 +247,115 @@ def test_load_dataset_parses_or_raises_a_package_error(manifest_dir, blob):
         for row in ds.pairs:
             assert isinstance(row.index, int) and isinstance(row.seed, int)
             assert np.all(np.isfinite(row.clean)) and np.all(np.isfinite(row.degraded))
+
+
+# ---------------------------------------------------------------------------
+# CSV records (util.read_records)
+# ---------------------------------------------------------------------------
+
+RECORD_TYPES = (ManifestRow, TriggerSummary, IterationRow, EvalPoint)
+# text cells that survive a write and a read: no comma, line break or edge whitespace
+TEXT_CELL = st.text("abz09_./-", min_size=1, max_size=8)
+
+
+def _cell_values(cls):
+    """A strategy for the field values of one `cls` record."""
+    by_type = {
+        "int": st.integers(-(2**63), 2**63),
+        "float": st.floats(allow_nan=False, allow_infinity=False),
+        "str": TEXT_CELL,
+    }
+    return st.tuples(*[by_type[f.type] for f in fields(cls)])
+
+
+def _record_texts(cls):
+    """CSV text from a right or wrong header and rows of plausible and arbitrary cells."""
+    header = ",".join(f.name for f in fields(cls))
+    cell = st.one_of(
+        *[st.integers(0, 9).map(str)] * 6,
+        TOKENS,
+        st.sampled_from(["inf", "-inf", "1e999", "0.5", "\0"]),
+    )
+    n = len(fields(cls))
+    row = st.one_of(*[st.lists(cell, min_size=n, max_size=n)] * 3, st.lists(cell, max_size=n + 1))
+    return st.builds(
+        lambda head, rows, sep: sep.join([head] + [",".join(r) for r in rows]) + sep,
+        st.sampled_from([header] * 4 + [header + ",x", header.replace(",", ";"), ""]),
+        st.lists(row, max_size=3),
+        st.sampled_from(["\n", "\r\n", "\n\n"]),
+    ).map(lambda t: t.encode("utf-8"))
+
+
+def _valid_blob(scratch, cls, values):
+    path = scratch / "valid.csv"
+    write_records(path, cls, [cls(*values)])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+@PROPERTY
+@given(data=st.data())
+def test_read_records_parses_or_raises_a_package_error(scratch, cls, data):
+    blob = data.draw(
+        st.one_of(
+            st.binary(max_size=256),
+            _record_texts(cls),
+            _cell_values(cls).flatmap(lambda v: _edited(_valid_blob(scratch, cls, v))),
+        )
+    )
+    path = scratch / "case.csv"
+    path.write_bytes(blob)
+    records = _expect_parse_or_package_error(lambda p: read_records(p, cls), path)
+    for r in records or ():
+        for f in fields(cls):
+            value = getattr(r, f.name)
+            assert type(value).__name__ == f.type, f.name
+            assert f.type != "float" or math.isfinite(value)
+            assert f.type != "str" or ("\0" not in value and "," not in value)
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+@PROPERTY
+@given(data=st.data())
+def test_records_round_trip_bit_exactly(scratch, cls, data):
+    records = [cls(*v) for v in data.draw(st.lists(_cell_values(cls), max_size=4))]
+    path = scratch / "round.csv"
+    write_records(path, cls, records)
+    back = read_records(path, cls)
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
+        for f in fields(cls):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            if f.type == "float":
+                assert np.float64(x).tobytes() == np.float64(y).tobytes(), f.name
+            else:
+                assert x == y, f.name
+
+
+def test_read_records_error_names_path_line_column_and_row(tmp_path):
+    path = tmp_path / "eos_summary.csv"
+    path.write_text(
+        "trigger,winner_alpha,winner_beta,eval_ms,total_ms,evaluations\n"
+        "\n"
+        "1,0.5,0.5,2.5,nan,6\n"
+    )
+    with pytest.raises(NumericIntegrityError) as exc:
+        read_records(path, TriggerSummary)
+    assert str(exc.value) == (
+        f"{path}:3: column 'total_ms': 'nan' is not a valid float, in row '1,0.5,0.5,2.5,nan,6'"
+    )
+    path.write_bytes(b"trigger\n1\n2\xff\n")
+    with pytest.raises(NumericIntegrityError, match=r":3: not UTF-8 text in row b'2\\xff'"):
+        read_records(path, TriggerSummary)
+
+
+def test_fmt_writes_integers_and_bools_exactly():
+    assert [fmt(v) for v in (np.int64(3), np.uint8(255), np.int32(-4), 2**70, 7)] == [
+        "3", "255", "-4", str(2**70), "7"
+    ]
+    assert [fmt(v) for v in (np.bool_(True), np.bool_(False), True, False)] == ["1", "0", "1", "0"]
+    assert [fmt(v) for v in (0.1, np.float32(0.5), -0.0, "noise")] == ["0.1", "0.5", "-0.0", "noise"]
 
 
 # ---------------------------------------------------------------------------
