@@ -246,7 +246,9 @@ def _cmd_report(args) -> int:
     try:
         train_wall_ms = parse_cell("float", wall_text)
     except ValueError as exc:
-        raise NumericIntegrityError(f"{summary}: wall_ms {wall_text!r} is not finite") from exc
+        raise NumericIntegrityError(
+            f"{summary}: wall_ms {wall_text!r} is not a finite decimal"
+        ) from exc
     records = read_records(os.path.join(run_dir, "eos_summary.csv"), TriggerSummary)
     report = eos_overhead_report(records, train_wall_ms)
     os.makedirs(args.out, exist_ok=True)

@@ -436,7 +436,11 @@ def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
     base = os.path.dirname(os.path.abspath(manifest_path))
     rows = []
     cleans = {}  # clean_path -> its grid
-    for m in read_records(manifest_path, ManifestRow):
+    for k, m in enumerate(read_records(manifest_path, ManifestRow)):
+        if m.index != k:  # write_dataset names each pair's files by index
+            raise NumericIntegrityError(
+                f"{manifest_path}: row {k} carries index {m.index}, expected {k}"
+            )
         if m.clean_path not in cleans:
             cleans[m.clean_path] = read_image(os.path.join(base, m.clean_path))
         degraded = read_image(os.path.join(base, m.degraded_path))

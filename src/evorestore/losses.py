@@ -9,8 +9,9 @@ the window operator exactly self-adjoint.
 Each loss takes one grid (H, W) or a stack (N, H, W). A grid gives a float
 value; a stack gives one value per grid, shaped (N,), and the gradient of
 each grid's value with respect to that grid. At each scale the four windowed
-moments of a whole stack (x, y, x^2 + y^2, xy) go through two small matmuls
-with cached circulant matrices of the separable window.
+moments of a whole stack (x, y, x^2 + y^2, xy) go through the separable
+window: along each axis a cached circulant matrix, or on long axes one
+banded block product (_wfilt).
 """
 
 from __future__ import annotations
@@ -148,35 +149,103 @@ _TAPS = np.exp(-((np.arange(WINDOW_SIZE) - WINDOW_SIZE // 2) ** 2) / (2.0 * WIND
 _TAPS /= _TAPS.sum()
 _WINDOW_CACHE: dict = {}
 
+# Axes at least this long are filtered as a banded block product, shorter ones
+# by their circulant, whose n multiply-adds per pixel win below ~80 px (README).
+BAND_MIN_AXIS = 96
+_PAD = WINDOW_SIZE // 2
+_BLOCK = 32
+# _BAND[i, j] = taps[i - j]: output j of a block from samples j .. j + 10 of the
+# block's (_BLOCK + 2 * _PAD)-sample window of the circularly padded axis.
+_BAND = np.zeros((_BLOCK + 2 * _PAD, _BLOCK))
+for _j in range(_BLOCK):
+    _BAND[_j : _j + WINDOW_SIZE, _j] = _TAPS
+
 
 def _window(h: int, w: int) -> tuple:
-    """(ch, cw), cached per axis length: the window filters a grid x as ch @ x @ cw.
+    """(ch, cw): the window's operator along axis -2 (h) and axis -1 (w) of a grid.
 
-    Circulant matrices of the normalised 1D Gaussian taps, symmetric since the
-    taps are; n >= WINDOW_SIZE (validate_shape), so each entry holds at most one tap.
+    An axis shorter than BAND_MIN_AXIS gets its circulant matrix, cached per
+    length (ch @ x @ cw filters x); it is symmetric since the taps are, and
+    n >= WINDOW_SIZE (validate_shape), so each entry holds at most one tap.
+    A longer axis gets the shared band matrix _BAND.
     """
     c = WINDOW_SIZE // 2
     for n in (h, w):
-        if n not in _WINDOW_CACHE:
+        if n not in _WINDOW_CACHE and n < BAND_MIN_AXIS:
             row = np.pad(_TAPS, (0, n - WINDOW_SIZE))
             _WINDOW_CACHE[n] = row[(np.arange(n) - np.arange(n)[:, None] + c) % n]
-    return _WINDOW_CACHE[h], _WINDOW_CACHE[w]
+    return tuple(_WINDOW_CACHE.get(n, _BAND) for n in (h, w))
 
 
 def _wfilt(x: np.ndarray, win: tuple) -> np.ndarray:
     """Circular correlation of every grid in x with the window, in place; self-adjoint.
 
     Filters the caller's stack x in place, one slab of its leading axis at a
-    time, and returns it: slab s takes (ch @ s) @ cw through np.matmul(...,
-    out=s), so the only temporary is one slab rather than a second stack.
+    time, and returns it; each temporary holds one slab, not a second stack.
+    Axis -2 is filtered first, then axis -1, each by the route _window gave it:
 
-    O(h + w) per pixel against a real FFT pair's O(log hw): one-thread ms_ssim
-    value+grad on one grid is faster up to 128 px (48 px: 1.1 -> 0.6 ms), even
-    near 160 px, slower from 192 px (256 px: 16 -> 24 ms). Workloads here are <= 128 px.
+    - circulant: slab s becomes (ch @ s) @ cw, n multiply-adds per pixel on
+      an axis of length n;
+    - banded: the axis is padded circularly by 5 samples at each end and cut
+      into blocks of 32 outputs plus one shorter last block; each block's
+      42-sample window times _BAND gives its outputs, 42 multiply-adds per
+      pixel whatever n is.
+
+    The circulants beat a real FFT pair up to ~160 px, and the banded route
+    beats them from ~80 px: 2x at 128 px (README, "MS-SSIM").
     """
+    ch, cw = win
     for slab in x if x.ndim > 2 else (x,):
-        np.matmul(win[0] @ slab, win[1], out=slab)
+        if cw is not _BAND:
+            np.matmul(_filter_h(slab, ch), cw, out=slab)
+            continue
+        w = slab.shape[-1]
+        p = np.empty(slab.shape[:-1] + (w + 2 * _PAD,))
+        _filter_h(slab, ch, out=p[..., _PAD : w + _PAD])  # straight into the padded buffer
+        p[..., :_PAD] = p[..., w : w + _PAD]
+        p[..., w + _PAD :] = p[..., _PAD : 2 * _PAD]
+        _band_product(p.reshape(-1, w + 2 * _PAD), slab.reshape(-1, w, copy=False), -1)
     return x
+
+
+def _filter_h(s: np.ndarray, ch: np.ndarray, out=None) -> np.ndarray:
+    """The window along axis -2 of each grid of s (ch @ s), into out or a new array."""
+    if ch is not _BAND:
+        return np.matmul(ch, s, out=out)
+    h, w = s.shape[-2:]
+    s = s.reshape(-1, h, w)
+    p = np.empty((len(s), h + 2 * _PAD, w))
+    p[:, _PAD : h + _PAD] = s
+    p[:, :_PAD] = s[:, h - _PAD :]
+    p[:, h + _PAD :] = s[:, :_PAD]
+    out = np.empty(s.shape) if out is None else out
+    _band_product(p, out.reshape(-1, h, w, copy=False), -2)
+    return out
+
+
+def _band_product(p: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """out = the window along `axis` of p, which pads out's n samples there by _PAD at each end.
+
+    axis -2: p is (N, n + 2 * _PAD, w) and out (N, n, w); axis -1: p is
+    (R, n + 2 * _PAD) and out (R, n). The full blocks take one batched matmul
+    over a view of p whose block windows overlap, the shorter last block one more.
+    """
+    n = out.shape[1]
+    nb, size, step = n // _BLOCK, _BLOCK + 2 * _PAD, p.strides[1]
+    o = out[:, : nb * _BLOCK]
+    if axis == -2:
+        g, _, w = p.shape
+        strides = (p.strides[0], _BLOCK * step, step, p.itemsize)
+        blocks = np.ndarray((g, nb, size, w), p.dtype, p, 0, strides)
+        np.matmul(_BAND.T, blocks, out=o.reshape((g, nb, _BLOCK, w), copy=False))
+    else:
+        r = len(p)
+        blocks = np.ndarray((nb, r, size), p.dtype, p, 0, (_BLOCK * step, p.strides[0], step))
+        np.matmul(blocks, _BAND, out=o.reshape((r, nb, _BLOCK), copy=False).swapaxes(0, 1))
+    k = n - nb * _BLOCK
+    if k:
+        band, tail, o = _BAND[: k + 2 * _PAD, :k], p[:, nb * _BLOCK :], out[:, nb * _BLOCK :]
+        np.matmul(band.T, tail, out=o) if axis == -2 else np.matmul(tail, band, out=o)
 
 
 def _downsample2(x: np.ndarray) -> np.ndarray:

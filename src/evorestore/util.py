@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import re
 from dataclasses import fields
 from typing import Iterable, Sequence
 
@@ -68,14 +69,29 @@ def write_records(path, cls, records: Iterable) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# A float cell: ASCII digits with an optional '-', fraction and exponent, as repr writes.
+_FLOAT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
 def parse_cell(kind: str, text: str):
-    """One cell as the type `kind` names (int, finite float or NUL-free str), or ValueError."""
+    """One cell as the type `kind` names (int, finite float or NUL-free str), or ValueError.
+
+    Only text as fmt writes it is read: an int cell must equal str(int(cell)),
+    and a float cell must match _FLOAT_TEXT, so `+2`, `1_0`, ` 3` or `١` are errors.
+    """
     if kind == "str":
         if "\0" in text:
             raise ValueError("NUL byte")
         return text
-    value = {"int": int, "float": float}[kind](text)
-    if isinstance(value, float) and not math.isfinite(value):
+    if kind == "int":
+        value = int(text)
+        if str(value) != text:
+            raise ValueError("not a canonical integer")
+        return value
+    if not _FLOAT_TEXT.fullmatch(text):
+        raise ValueError("not plain decimal text")
+    value = float(text)
+    if not math.isfinite(value):
         raise ValueError("not finite")
     return value
 

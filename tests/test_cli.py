@@ -475,6 +475,44 @@ def test_non_integer_manifest_field_exit_code(run_dirs, tmp_path, capsys, field)
     _assert_exit_5(rc, capsys, "manifest.txt", lines[2])
 
 
+@pytest.mark.parametrize("indices", [(0, 0, 2, 3), (1, 0, 2, 3)], ids=["repeated", "swapped"])
+def test_manifest_index_out_of_place_exit_code(run_dirs, tmp_path, capsys, indices):
+    # before: (0, 0, 2, 3) loaded, and writing it again overwrote pair 0's grids with pair 1's
+    data, _ = run_dirs
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    lines = (copy / "manifest.txt").read_text().splitlines()
+    for k, i in enumerate(indices):
+        lines[1 + k] = ",".join([str(i)] + lines[1 + k].split(",")[1:])
+    (copy / "manifest.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["train", "--manifest", str(copy / "manifest.txt"), *TINY_TRAIN,
+                   "-o", str(tmp_path / "run")])
+    _assert_exit_5(rc, capsys, "manifest.txt", "index")
+
+
+def test_every_csv_the_package_writes_reads_back_to_the_same_bytes(run_dirs, tmp_path):
+    from evorestore.degrade import ManifestRow
+    from evorestore.eos import OverheadReport, TriggerSummary
+    from evorestore.trainer import EvalPoint, IterationRow, MetricsRow
+    from evorestore.util import read_records, write_records
+
+    data, out = run_dirs
+    assert cli.main(["eval", "--manifest", str(data / "manifest.txt"),
+                     "--checkpoint", str(out / "final.fmmp"), "-o", str(tmp_path)]) == 0
+    assert cli.main(["report", "--run", str(out), "-o", str(tmp_path)]) == 0
+    files = [
+        (data / "manifest.txt", ManifestRow), (out / "trace.csv", IterationRow),
+        (out / "eval.csv", EvalPoint), (out / "eos_summary.csv", TriggerSummary),
+        (tmp_path / "metrics.csv", MetricsRow), (tmp_path / "overhead.csv", OverheadReport),
+    ]
+    for path, cls in files:
+        records = read_records(path, cls)
+        assert records, path
+        write_records(tmp_path / "again.csv", cls, records)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path
+
+
 @pytest.mark.parametrize("eps", ["1e200", "1e-200"])
 def test_charbonnier_eps_out_of_range_is_a_config_error(eps, run_dirs, tmp_path, capsys):
     # before: 1e200 squared to inf (exit 3, "diverged at iteration 1"); 1e-200

@@ -25,7 +25,7 @@ from evorestore.eos import TriggerSummary
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
 from evorestore.grids import read_fgrid, write_fgrid
 from evorestore.trainer import EvalPoint, IterationRow
-from evorestore.util import fmt, read_records, write_records
+from evorestore.util import fmt, parse_cell, read_records, write_records
 
 PACKAGE_ERRORS = (ConfigError, DimensionError, NumericIntegrityError)
 
@@ -244,6 +244,7 @@ def test_load_dataset_parses_or_raises_a_package_error(manifest_dir, blob):
     ds = _expect_parse_or_package_error(lambda p: load_dataset(p, SplitConfig()), path)
     if ds is not None:
         assert sorted(ds.train_idx + ds.val_idx + ds.test_idx) == list(range(len(ds.pairs)))
+        assert [row.index for row in ds.pairs] == list(range(len(ds.pairs)))
         for row in ds.pairs:
             assert isinstance(row.index, int) and isinstance(row.seed, int)
             assert np.all(np.isfinite(row.clean)) and np.all(np.isfinite(row.degraded))
@@ -348,6 +349,37 @@ def test_read_records_error_names_path_line_column_and_row(tmp_path):
     path.write_bytes(b"trigger\n1\n2\xff\n")
     with pytest.raises(NumericIntegrityError, match=r":3: not UTF-8 text in row b'2\\xff'"):
         read_records(path, TriggerSummary)
+
+
+@pytest.mark.parametrize(
+    "kind,text,value",
+    [
+        ("int", "0", 0), ("int", "7", 7), ("int", "-4", -4), ("int", str(2**70), 2**70),
+        ("float", "0.1", 0.1), ("float", "-0.0", -0.0), ("float", "1e-05", 1e-05),
+        ("float", "1.5e+20", 1.5e20), ("float", "5e-324", 5e-324), ("float", "3", 3.0),
+        ("float", "-2.5E3", -2500.0),
+    ],
+)
+def test_parse_cell_reads_what_fmt_writes(kind, text, value):
+    got = parse_cell(kind, text)
+    assert type(got).__name__ == kind and got == value
+    assert kind != "float" or fmt(got) == repr(value)
+
+
+# int() and float() read all of these, so one file could be spelt many ways
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("int", "+2"), ("int", "1_0"), ("int", " 3"), ("int", "3 "), ("int", "\u0661"),
+        ("int", "007"), ("int", "-0"), ("int", ""), ("int", "1.0"),
+        ("float", "1_0.5"), ("float", "\u0661.\u0665"), ("float", " 2.5"), ("float", "2.5\t"),
+        ("float", "+2.5"), ("float", ".5"), ("float", "1."), ("float", "0x1p3"),
+        ("float", "inf"), ("float", "nan"), ("float", "1e999"), ("float", ""),
+    ],
+)
+def test_parse_cell_rejects_text_fmt_never_writes(kind, text):
+    with pytest.raises(ValueError):
+        parse_cell(kind, text)
 
 
 def test_fmt_writes_integers_and_bools_exactly():

@@ -167,6 +167,25 @@ def test_ms_ssim_gradient_finite_difference_non_square():
         assert abs(fd - grad[idx]) <= 1e-5 * max(1e-8, abs(fd))
 
 
+def test_ms_ssim_gradient_finite_difference_banded():
+    # 100x130 filters both axes of the finest scale as a banded block product
+    # (130 = 4 blocks of 32 and a last block of 2), then 50x65 and 25x32 as circulants
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0.2, 0.8, (100, 130))
+    y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1)
+    cfg = MsSsimConfig.for_shape(100, 130)
+    assert cfg.scales == 3 and 100 >= losses.BAND_MIN_AXIS
+    _, grad = ms_ssim(x, y, cfg)
+    step = 1e-5
+    for idx in [(0, 0), (0, 129), (99, 0), (31, 32), (64, 127), (99, 129)]:
+        xp = x.copy()
+        xp[idx] += step
+        xm = x.copy()
+        xm[idx] -= step
+        fd = (ms_ssim_value(xp, y, cfg) - ms_ssim_value(xm, y, cfg)) / (2 * step)
+        assert abs(fd - grad[idx]) <= 1e-5 * max(1e-8, abs(fd))
+
+
 def test_window_matrices_are_symmetric_and_normalised():
     for n in (11, 12, 13, 24, 45, 50):
         ch, cw = _window(n, n + 1)
@@ -176,7 +195,12 @@ def test_window_matrices_are_symmetric_and_normalised():
             assert np.count_nonzero(m[0]) == 11
 
 
-@pytest.mark.parametrize("shape", [(45, 50), (12, 13), (3, 2, 24, 26)])
+# (96, 96) on, (64, 200) across, the banded switch; 130 and 97 end on short blocks
+@pytest.mark.parametrize(
+    "shape",
+    [(45, 50), (12, 13), (3, 2, 24, 26), (96, 96), (128, 128), (130, 97), (64, 200),
+     (2, 3, 128, 256)],
+)
 def test_wfilt_matches_the_transfer_route(shape):
     # the 2D window through the package's transfer function and a real FFT pair
     h, w = shape[-2:]
@@ -184,6 +208,24 @@ def test_wfilt_matches_the_transfer_route(shape):
     t = transfer(gaussian_kernel(11, 1.5), h, w)[:, : w // 2 + 1].real
     ref = np.fft.irfft2(np.fft.rfft2(x) * t, s=(h, w))
     assert np.max(np.abs(_wfilt(x, _window(h, w)) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (64, 64), (45, 50), (2, 3, 95, 64)])
+def test_wfilt_below_the_switch_is_the_circulant_product_exactly(shape):
+    x = np.random.default_rng(22).uniform(0, 1, shape)
+    ch, cw = _window(*shape[-2:])
+    assert ch.shape == (shape[-2],) * 2 and cw.shape == (shape[-1],) * 2
+    assert np.array_equal(_wfilt(x.copy(), (ch, cw)), ch @ x @ cw)
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (3, 128, 100), (2, 96, 64)])
+def test_banded_wfilt_is_self_adjoint(shape):
+    rng = np.random.default_rng(23)
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    win = _window(*shape[-2:])
+    lhs = np.vdot(_wfilt(a.copy(), win), b)
+    rhs = np.vdot(a, _wfilt(b.copy(), win))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_ssim_index_basics():
@@ -308,13 +350,13 @@ def test_combined_loss_skips_the_zero_weighted_gradient(monkeypatch):
 
 
 # Out-of-place reference of the MS-SSIM scale maps and their adjoint: every
-# map a fresh array, the window filtering a whole stack, Charbonnier's and the
+# map a fresh array, the window filtering a copy, Charbonnier's and the
 # combined gradient formed by plain expressions. The package builds the same
 # values in place, in the same order, so the two must agree bit for bit.
 
 
 def _ref_wfilt(x, win):
-    return win[0] @ x @ win[1]
+    return losses._wfilt(x.copy(), win)
 
 
 def _ref_ssim_parts(x, y, win, with_luminance, c1=0.01**2, c2=0.03**2):
