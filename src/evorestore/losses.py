@@ -156,9 +156,7 @@ _PAD = WINDOW_SIZE // 2
 _BLOCK = 32
 # _BAND[i, j] = taps[i - j]: output j of a block from samples j .. j + 10 of the
 # block's (_BLOCK + 2 * _PAD)-sample window of the circularly padded axis.
-_BAND = np.zeros((_BLOCK + 2 * _PAD, _BLOCK))
-for _j in range(_BLOCK):
-    _BAND[_j : _j + WINDOW_SIZE, _j] = _TAPS
+_BAND = np.stack([np.pad(_TAPS, (j, _BLOCK - 1 - j)) for j in range(_BLOCK)], axis=1)
 
 
 def _window(h: int, w: int) -> tuple:
@@ -192,7 +190,7 @@ def _wfilt(x: np.ndarray, win: tuple) -> np.ndarray:
       pixel whatever n is.
 
     The circulants beat a real FFT pair up to ~160 px, and the banded route
-    beats them from ~80 px: 2x at 128 px (README, "MS-SSIM").
+    beats them from ~80 px: 2.5x at 128 px (README, "MS-SSIM").
     """
     ch, cw = win
     for slab in x if x.ndim > 2 else (x,):
@@ -213,12 +211,12 @@ def _filter_h(s: np.ndarray, ch: np.ndarray, out=None) -> np.ndarray:
     if ch is not _BAND:
         return np.matmul(ch, s, out=out)
     h, w = s.shape[-2:]
-    s = s.reshape(-1, h, w)
-    p = np.empty((len(s), h + 2 * _PAD, w))
-    p[:, _PAD : h + _PAD] = s
-    p[:, :_PAD] = s[:, h - _PAD :]
-    p[:, h + _PAD :] = s[:, :_PAD]
     out = np.empty(s.shape) if out is None else out
+    g = s.reshape(-1, h, w)
+    p = np.empty((len(g), h + 2 * _PAD, w))
+    p[:, _PAD : h + _PAD] = g
+    p[:, :_PAD] = g[:, h - _PAD :]
+    p[:, h + _PAD :] = g[:, :_PAD]
     _band_product(p, out.reshape(-1, h, w, copy=False), -2)
     return out
 

@@ -76,8 +76,9 @@ _FLOAT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 def parse_cell(kind: str, text: str):
     """One cell as the type `kind` names (int, finite float or NUL-free str), or ValueError.
 
-    Only text as fmt writes it is read: an int cell must equal str(int(cell)),
-    and a float cell must match _FLOAT_TEXT, so `+2`, `1_0`, ` 3` or `١` are errors.
+    Numbers must be plain ASCII text: an int cell must equal str(int(cell)) and
+    a float cell match _FLOAT_TEXT, so `+2`, `1_0`, ` 3` or `١` are errors,
+    although int() and float() read them.
     """
     if kind == "str":
         if "\0" in text:

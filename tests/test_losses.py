@@ -195,11 +195,12 @@ def test_window_matrices_are_symmetric_and_normalised():
             assert np.count_nonzero(m[0]) == 11
 
 
-# (96, 96) on, (64, 200) across, the banded switch; 130 and 97 end on short blocks
+# (96, 96) on, (64, 200) and (128, 40) across, the banded switch; 130 and 97
+# end on short blocks
 @pytest.mark.parametrize(
     "shape",
     [(45, 50), (12, 13), (3, 2, 24, 26), (96, 96), (128, 128), (130, 97), (64, 200),
-     (2, 3, 128, 256)],
+     (2, 3, 128, 256), (128, 40)],
 )
 def test_wfilt_matches_the_transfer_route(shape):
     # the 2D window through the package's transfer function and a real FFT pair
