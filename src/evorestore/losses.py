@@ -167,11 +167,10 @@ def _window(h: int, w: int) -> tuple:
     n >= WINDOW_SIZE (validate_shape), so each entry holds at most one tap.
     A longer axis gets the shared band matrix _BAND.
     """
-    c = WINDOW_SIZE // 2
     for n in (h, w):
         if n not in _WINDOW_CACHE and n < BAND_MIN_AXIS:
             row = np.pad(_TAPS, (0, n - WINDOW_SIZE))
-            _WINDOW_CACHE[n] = row[(np.arange(n) - np.arange(n)[:, None] + c) % n]
+            _WINDOW_CACHE[n] = row[(np.arange(n) - np.arange(n)[:, None] + _PAD) % n]
     return tuple(_WINDOW_CACHE.get(n, _BAND) for n in (h, w))
 
 
