@@ -35,7 +35,6 @@ from .grids import (
     fft2,
     gaussian_kernel,
     identity_kernel,
-    ifft2,
     read_fgrid,
     transfer,
     write_fgrid,
@@ -72,7 +71,6 @@ __all__ = [
     "fmm_forward",
     "gaussian_kernel",
     "identity_kernel",
-    "ifft2",
     "load_dataset",
     "load_params",
     "ms_ssim_value",

@@ -10,7 +10,6 @@ parameter of a spec is parsed by the annotation of its DegradationSpec field.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
@@ -148,8 +147,6 @@ def load_config(path: str | None, overrides=()) -> AppConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-        if parser is float and not math.isfinite(sections[section][name]):
-            raise ConfigError(f"{key} must be finite, got {text!r}")
 
     eos_cfg = EosConfig(**sections["eos"])
     trainer_cfg = replace(TrainConfig(**sections["trainer"]), eos=eos_cfg)

@@ -16,6 +16,7 @@ toward the lower candidate index).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,8 +39,6 @@ __all__ = [
     "sample_simplex",
     "ValidationTable",
     "validate",
-    "val_losses",
-    "evaluate_fitness",
     "run_eos",
     "search_weights",
     "eos_overhead_report",
@@ -90,8 +89,10 @@ class EosConfig:
             raise ConfigError(
                 f"elites must be in 1..population({self.population}), got {self.elites}"
             )
-        if self.mutation_sigma < 0:
-            raise ConfigError(f"mutation_sigma must be >= 0, got {self.mutation_sigma}")
+        if not 0 <= self.mutation_sigma < math.inf:
+            raise ConfigError(
+                f"mutation_sigma must be finite and >= 0, got {self.mutation_sigma}"
+            )
         if self.trigger_interval < 1:
             raise ConfigError(
                 f"trigger_interval must be >= 1, got {self.trigger_interval}"
@@ -204,32 +205,8 @@ def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> 
     return ValidationTable(*(np.concatenate(c) for c in cols))
 
 
-def val_losses(params: FmmParams, val_set, eps: float = DEFAULT_CHARBONNIER_EPS):
-    """Mean (fidelity, perceptual) over (degraded, clean) validation pairs.
-
-    The restorations depend only on the frozen model, never on the candidate
-    weights, so these two means are all that search_weights needs.
-    """
-    return validate(params, val_set, eps).loss_means()
-
-
 def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
     return -(candidate.alpha * mean_fid + candidate.beta * mean_perc)
-
-
-def evaluate_fitness(
-    candidate: WeightPair,
-    params: FmmParams,
-    val_set,
-    eps: float = DEFAULT_CHARBONNIER_EPS,
-) -> float:
-    """Negated mean weighted validation loss of `candidate` under a frozen model.
-
-    Affine in (alpha, beta); deterministic and bit-identical for identical
-    inputs (no randomness anywhere in the evaluation path).
-    """
-    mean_fid, mean_perc = val_losses(params, val_set, eps)
-    return _fitness(candidate, mean_fid, mean_perc)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +223,9 @@ def run_eos(
     trigger_index: int = 0,
     eps: float = DEFAULT_CHARBONNIER_EPS,
 ):
-    """One search trigger on a read-only model: val_losses, then search_weights."""
+    """One search trigger on a read-only model: validate, then search_weights."""
     t0 = time.perf_counter()
-    means = val_losses(params, val_set, eps)
+    means = validate(params, val_set, eps).loss_means()
     eval_ms = (time.perf_counter() - t0) * 1e3
     return search_weights(*means, cfg, init, trigger_index=trigger_index, eval_ms=eval_ms)
 

@@ -142,8 +142,8 @@ class Prepared:
     """The operator's arrays that depend only on the parameters and the grid shape.
 
     Every stack of a training step or a validation pass shares one parameter
-    set, so `prepare` builds these once and each fmm_forward/fmm_backward call
-    reads them.
+    set, so `prepare` builds these once; the three forward stages and the
+    backward read them.
     """
 
     shape: tuple  # the (H, W) they were built for
@@ -218,13 +218,9 @@ def prepare(p: FmmParams, h: int, w: int) -> Prepared:
     )
 
 
-def _prepared_for(prep: Prepared | None, p: FmmParams, h: int, w: int) -> Prepared:
-    """`prep` if it was built for (h, w) grids, a fresh one if it is None."""
-    if prep is None:
-        return prepare(p, h, w)
+def _check_shape(prep: Prepared, h: int, w: int) -> None:
     if prep.shape != (h, w):
         raise DimensionError(f"operator prepared for {prep.shape} grids, got {(h, w)}")
-    return prep
 
 
 def _check_grid_block(mode: str, logits: np.ndarray, h, w) -> None:
@@ -298,43 +294,40 @@ def half_transfer(k, h: int, w: int) -> np.ndarray:
     return _tap_phases(h, s) @ k @ _tap_phases(w, s)[: w // 2 + 1].T
 
 
-def band_split(x, p: FmmParams, prep: Prepared | None = None):
+def band_split(x, prep: Prepared):
     """Split into (high, X, U): U = T_K * X is the low band's half-spectrum.
 
     X = rfft2(x) and high = irfft2(X - U); the low band x - high is left to
     the caller. An identity kernel gives a high band of exact zeros. T_K is
-    `prep.transfer`; `prep` is built here when not given.
+    `prep.transfer`.
     """
     x = as_grids(x)
-    h, w = x.shape[-2:]
+    _check_shape(prep, *x.shape[-2:])
     X = np.fft.rfft2(x, norm="ortho")
-    U = _prepared_for(prep, p, h, w).transfer * X
-    high = np.fft.irfft2(X - U, s=(h, w), norm="ortho")
+    U = prep.transfer * X
+    high = np.fft.irfft2(X - U, s=prep.shape, norm="ortho")
     return high, X, U
 
 
-def spectral_gate(u, p: FmmParams, w: int, prep: Prepared | None = None):
-    """Gate the low band given its half-spectrum `u` of width-w grids; returns (refined, mask).
+def spectral_gate(u, prep: Prepared):
+    """Gate the low band given its half-spectrum `u`: irfft2(mask[:, :W//2+1] * u).
 
-    refined = irfft2(mask[:, :W//2+1] * u): `spectral_mask` is Hermitian-
-    symmetric by construction, so its half columns define the whole gate.
-    The mask is `prep`'s; `prep` is built here when not given.
+    `spectral_mask` is Hermitian-symmetric by construction, so its half
+    columns (`prep.spectral_half`) define the whole gate.
     """
-    h = u.shape[-2]
-    prep = _prepared_for(prep, p, h, w)
-    return np.fft.irfft2(prep.spectral_half * u, s=(h, w), norm="ortho"), prep.spectral_mask
+    return np.fft.irfft2(prep.spectral_half * u, s=prep.shape, norm="ortho")
 
 
-def spatial_gate(high, p: FmmParams, prep: Prepared | None = None):
+def spatial_gate(high, p: FmmParams, prep: Prepared):
     """Gate the high band in the spatial domain (no FFT on this branch).
 
     Returns (refined, mask, gap_mean): in per_pixel mode the (H, W) mask of
-    `prep` (built here when not given) and None; in gap_affine mode the gate
-    value and mean(|high|) of each grid, shaped (..., 1, 1).
+    `prep` and None; in gap_affine mode the gate value and mean(|high|) of
+    each grid, shaped (..., 1, 1).
     """
     high = as_grids(high)
     if p.spatial_mode == SPATIAL_PER_PIXEL:
-        m = _prepared_for(prep, p, *high.shape[-2:]).spatial_mask
+        m = prep.spatial_mask
         return m * high, m, None
     a, b = p.spatial_logits
     g = np.mean(np.abs(high), axis=(-2, -1), keepdims=True)
@@ -354,10 +347,9 @@ def fmm_forward(x, p: FmmParams, prep: Prepared | None = None) -> FmmActivations
     many stacks with one parameter set build it once and pass it.
     """
     x = as_grids(x)
-    h, w = x.shape[-2:]
-    prep = _prepared_for(prep, p, h, w)
-    x_h, x_spec, u_l = band_split(x, p, prep)
-    y = spectral_gate(u_l, p, w, prep)[0]
+    prep = prepare(p, *x.shape[-2:]) if prep is None else prep
+    x_h, x_spec, u_l = band_split(x, prep)
+    y = spectral_gate(u_l, prep)
     x_h_ref, pmask, gap_mean = spatial_gate(x_h, p, prep)
     y += x_h_ref
     return FmmActivations(
@@ -374,7 +366,7 @@ def fmm_backward(
     not given. For a stack, L is the sum of the per-grid losses whose
     gradients grad_out holds, so the parameter gradients are summed over it.
     """
-    sums = GradSums(p, _prepared_for(prep, p, *acts.y_hat.shape[-2:]))
+    sums = GradSums(p, prepare(p, *acts.y_hat.shape[-2:]) if prep is None else prep)
     sums.add(acts, grad_out)
     return sums.finish()
 
@@ -418,8 +410,7 @@ class GradSums:
         if gy.shape != acts.y_hat.shape:
             raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
         h, w = gy.shape[-2:]
-        if (h, w) != self.prep.shape:
-            raise DimensionError(f"operator prepared for {self.prep.shape} grids, got {(h, w)}")
+        _check_shape(self.prep, h, w)
 
         G = np.fft.rfft2(gy, norm="ortho")
         add_in_order(self.spectral, (np.conj(G) * acts.u_l).real)

@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import DimensionError, NumericIntegrityError
 
-# Relative imaginary residue tolerated when an inverse FFT is expected to be real.
-IFFT_IMAG_TOL = 1e-6
-
-
 def as_grid(x) -> np.ndarray:
     """Validate and coerce to a 2D float64 grid."""
     a = np.asarray(x, dtype=np.float64)
@@ -51,29 +47,6 @@ def fft2(x) -> np.ndarray:
     itself gates on the real half-spectrum (`fmm`).
     """
     return np.fft.fft2(as_grids(x), norm="ortho")
-
-
-def ifft2(u) -> np.ndarray:
-    """Unitary inverse DFT expected to land on a real grid (or stack of grids).
-
-    Like `fft2`, a reference transform for the oracles and the tests. The
-    imaginary residue of each grid must stay below IFFT_IMAG_TOL relative to that
-    grid's real norm (Hermitian input guarantees this up to rounding); it is
-    then discarded.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim not in (2, 3) or min(u.shape) < 1:
-        raise DimensionError(f"spectrum must be a non-empty 2D or 3D array, got {u.shape}")
-    z = np.fft.ifft2(u, norm="ortho")
-    re = np.linalg.norm(z.real, axis=(-2, -1))
-    im = np.linalg.norm(z.imag, axis=(-2, -1))
-    worst = np.max(im / np.maximum(re, 1e-30))
-    if worst > IFFT_IMAG_TOL:
-        raise NumericIntegrityError(
-            f"inverse FFT imaginary residue is {worst:.3e} x the real norm of a grid, "
-            f"above {IFFT_IMAG_TOL:.1e}; input spectrum is not Hermitian-symmetric"
-        )
-    return np.ascontiguousarray(z.real)
 
 
 def as_kernel(k) -> np.ndarray:

@@ -391,17 +391,6 @@ def ssim_and_ms_ssim(pred, target):
     return ssim, value
 
 
-def ssim_index(pred, target):
-    """Plain single-scale SSIM (mean of the joint luminance*structure map)."""
-    pred, target = _pair(pred, target)
-    if min(pred.shape[-2:]) < WINDOW_SIZE:
-        raise ConfigError(
-            f"grid {pred.shape[-2:]} smaller than the {WINDOW_SIZE}-tap SSIM window"
-        )
-    parts = _ssim_parts(pred, target, _window(*pred.shape[-2:]), True)
-    return _per_grid(_grid_mean(parts["l"] * parts["cs"]))
-
-
 def combined_loss(
     pred,
     target,

@@ -101,7 +101,7 @@ def check_split_equivalence(trials: int = 50, seed: int = 303) -> OracleResult:
         k /= max(np.sum(np.abs(k)), 1e-9)
         p = fmm.default_params(h, w)
         p.lowpass = k
-        high = fmm.band_split(x, p)[0]
+        high = fmm.band_split(x, fmm.prepare(p, h, w))[0]
         low = x - high
         worst_spec = max(worst_spec, float(np.max(np.abs(fft2(low) - transfer(k, h, w) * fft2(x)))))
         spatial = np.max(np.abs(high - (x - conv2_periodic(x, k))))

@@ -62,8 +62,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.lr_halve_at is not None and self.lr_halve_at < 1:
             raise ConfigError(f"lr_halve_at must be >= 1, got {self.lr_halve_at}")
         if self.batch_size < 1:
@@ -77,11 +77,9 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         charbonnier_eps_squared(self.charbonnier_eps)
-        wsum = self.init_alpha + self.init_beta
-        if self.init_alpha < 0 or self.init_beta < 0 or abs(wsum - 1.0) > 1e-9:
-            raise ConfigError(
-                f"init weights must be a convex pair, got ({self.init_alpha}, {self.init_beta})"
-            )
+        a, b = self.init_alpha, self.init_beta
+        if not (0 <= a < math.inf and 0 <= b < math.inf) or abs(a + b - 1.0) > 1e-9:
+            raise ConfigError(f"init weights must be a convex pair, got ({a}, {b})")
         for name in self.freeze:
             if name not in ("lowpass", "spectral", "spatial"):
                 raise ConfigError(f"unknown freeze block {name!r}")

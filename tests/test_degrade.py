@@ -17,7 +17,6 @@ from evorestore.degrade import (
     write_pgm,
 )
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
-from evorestore.losses import ssim_index
 
 MANIFEST_HEADER = "index,kind,seed,clean_path,degraded_path"
 
@@ -148,15 +147,6 @@ def test_psnr_monotone_in_noise_level():
         out = apply_degradation(img, DegradationSpec("noise", sigma=sigma, seed=2))
         values.append(psnr(out, img))
     assert values == sorted(values, reverse=True)
-
-
-def test_ssim_wrapper():
-    rng = np.random.default_rng(2)
-    img = rng.uniform(0, 1, (32, 32))
-    assert abs(ssim_index(img, img) - 1.0) < 1e-12
-    noisy = apply_degradation(img, DegradationSpec("noise", sigma=0.1, seed=1))
-    assert abs(ssim_index(img, noisy) - ssim_index(noisy, img)) < 1e-12
-    assert ssim_index(img, noisy) < 1.0
 
 
 def test_synthetic_clean_images():

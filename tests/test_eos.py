@@ -12,12 +12,10 @@ from evorestore.eos import (
     TriggerSummary,
     WeightPair,
     eos_overhead_report,
-    evaluate_fitness,
     project_simplex,
     run_eos,
     sample_simplex,
     search_weights,
-    val_losses,
     validate,
 )
 from evorestore.errors import ConfigError, NumericIntegrityError
@@ -99,7 +97,7 @@ def rigged_pairs(kind, n=16):
 
 def test_validate_matches_per_pair_metrics():
     from evorestore.degrade import psnr
-    from evorestore.losses import charbonnier, ms_ssim_value, ssim_index
+    from evorestore.losses import charbonnier, ms_ssim_value, ssim_and_ms_ssim
 
     params = identity_model(48)
     rng = np.random.default_rng(12)
@@ -113,7 +111,7 @@ def test_validate_matches_per_pair_metrics():
     for n, (x, c) in enumerate(pairs):
         y = fmm.fmm_forward(x, params).y_hat
         assert table.psnr[n] == psnr(y, c) or abs(table.psnr[n] - psnr(y, c)) <= 1e-9
-        assert abs(table.ssim[n] - ssim_index(y, c)) <= 1e-12
+        assert abs(table.ssim[n] - ssim_and_ms_ssim(y, c)[0]) <= 1e-12
         assert abs(table.fid[n] - charbonnier(y, c)[0]) <= 1e-12
         assert abs(table.perc[n] - (1.0 - ms_ssim_value(y, c))) <= 1e-12
     assert math.isinf(table.psnr[3])
@@ -133,7 +131,7 @@ def test_validate_matches_per_pair_metrics():
     for n, (x, c) in enumerate(mixed):
         y = fmm.fmm_forward(x, shape_free).y_hat
         assert abs(table.perc[n] - (1.0 - ms_ssim_value(y, c))) <= 1e-12
-        assert abs(table.ssim[n] - ssim_index(y, c)) <= 1e-12
+        assert abs(table.ssim[n] - ssim_and_ms_ssim(y, c)[0]) <= 1e-12
 
 
 def test_validate_does_not_depend_on_the_stack_budget(monkeypatch):
@@ -180,27 +178,25 @@ def test_validate_does_not_depend_on_the_stack_budget(monkeypatch):
 def test_fitness_decouples_at_vertices():
     params = identity_model()
     pairs = rigged_pairs("offset")
-    mf, mp = val_losses(params, pairs)
-    f10 = evaluate_fitness(WeightPair(1.0, 0.0), params, pairs)
-    f01 = evaluate_fitness(WeightPair(0.0, 1.0), params, pairs)
+    mf, mp = validate(params, pairs).loss_means()
+    cfg = EosConfig(population=2, generations=1, elites=1, seed=0)
+    _, trace = run_eos(params, pairs, cfg, init=[WeightPair(1.0, 0.0), WeightPair(0.0, 1.0)])
+    f10, f01 = (r.fitness for r in trace.records)
     assert abs(f10 - (-mf)) < 1e-15
     assert abs(f01 - (-mp)) < 1e-15
 
 
 def test_fitness_affine_on_simplex():
+    # every candidate a real search scored, crossover children and mutants alike
     params = identity_model()
     pairs = rigged_pairs("structural")
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = sample_simplex(rng)
-        q = sample_simplex(rng)
-        lam = rng.random()
-        mix = WeightPair(lam * p.alpha + (1 - lam) * q.alpha, lam * p.beta + (1 - lam) * q.beta)
-        fmix = evaluate_fitness(mix, params, pairs)
-        fsep = lam * evaluate_fitness(p, params, pairs) + (1 - lam) * evaluate_fitness(
-            q, params, pairs
-        )
-        assert abs(fmix - fsep) < 1e-12
+    mf, mp = validate(params, pairs).loss_means()
+    for seed in range(10):
+        cfg = EosConfig(population=5, generations=3, elites=2, mutation_sigma=0.3, seed=seed)
+        _, trace = run_eos(params, pairs, cfg)
+        assert len(trace.records) == 15
+        for r in trace.records:
+            assert abs(r.fitness - (-(r.alpha * mf + r.beta * mp))) < 1e-12
 
 
 def test_single_generation_is_argmax_of_init():
@@ -263,7 +259,7 @@ def test_search_weights_on_val_losses_matches_run_eos():
     cfg = EosConfig(population=5, generations=3, elites=2, mutation_sigma=0.4, seed=11)
     init = [WeightPair(0.3, 0.7)]
     w1, t1 = run_eos(params, pairs, cfg, init, trigger_index=2)
-    w2, t2 = search_weights(*val_losses(params, pairs), cfg, init, trigger_index=2)
+    w2, t2 = search_weights(*validate(params, pairs).loss_means(), cfg, init, trigger_index=2)
     assert w1 == w2
     assert t1.records == t2.records
     assert t1.best_per_generation == t2.best_per_generation

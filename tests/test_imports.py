@@ -1,6 +1,7 @@
-"""Static check: no module of the package imports a name it never uses."""
+"""Import hygiene: no module imports a name it never uses, and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,10 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("module", ["evorestore", "evorestore.eos"])
+def test_every_exported_name_is_bound(module):
+    m = importlib.import_module(module)
+    missing = [name for name in m.__all__ if not hasattr(m, name)]
+    assert not missing, f"{module}.__all__ names unbound: {missing}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evorestore import losses
+from evorestore.degrade import DegradationSpec, apply_degradation
 from evorestore.errors import ConfigError
 from evorestore.grids import gaussian_kernel, transfer
 from evorestore.losses import (
@@ -15,7 +16,6 @@ from evorestore.losses import (
     ms_ssim,
     ms_ssim_value,
     ssim_and_ms_ssim,
-    ssim_index,
 )
 
 # frozen closed-form value: constant-0 vs constant-1 images have zero variance
@@ -229,12 +229,18 @@ def test_banded_wfilt_is_self_adjoint(shape):
 
 
 def test_ssim_index_basics():
+    # SSIM(x, x) = 1, symmetric, < 1 on a noisy copy (clipped noise and the noise degradation)
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, (32, 32))
-    assert abs(ssim_index(x, x) - 1.0) < 1e-12
-    y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
-    assert abs(ssim_index(x, y) - ssim_index(y, x)) < 1e-12
-    assert ssim_index(x, y) < 1.0
+
+    def ssim(a, b):
+        return ssim_and_ms_ssim(a, b)[0]
+
+    assert abs(ssim(x, x) - 1.0) < 1e-12
+    for y in (np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1),
+              apply_degradation(x, DegradationSpec("noise", sigma=0.1, seed=1))):
+        assert abs(ssim(x, y) - ssim(y, x)) < 1e-12
+        assert ssim(x, y) < 1.0
 
 
 @pytest.mark.parametrize("h,w", [(48, 48), (45, 50)])
@@ -254,7 +260,7 @@ def test_stack_matches_per_image(h, w):
         m, gm = ms_ssim(x[n], y[n])
         assert isinstance(f, float) and isinstance(m, float)
         assert abs(fid[n] - f) <= 1e-12 and abs(ms_value[n] - m) <= 1e-12
-        assert abs(ss[n] - ssim_index(x[n], y[n])) <= 1e-12
+        assert abs(ss[n] - ssim_and_ms_ssim(x[n], y[n])[0]) <= 1e-12
         assert np.max(np.abs(g_fid[n] - gf)) <= 1e-12
         assert np.max(np.abs(g_ms[n] - gm)) <= 1e-12
 
@@ -301,7 +307,7 @@ def test_ssim_and_ms_ssim_match_a_spatial_five_moment_reference():
     x = rng.uniform(0, 1, (24, 26))
     y = np.clip(0.8 * x + 0.1 + rng.normal(0, 0.08, x.shape), 0, 1)
     lum, cs = _reference_maps(x, y)
-    assert abs(ssim_index(x, y) - np.mean(lum * cs)) <= 1e-12
+    assert abs(ssim_and_ms_ssim(x, y)[0] - np.mean(lum * cs)) <= 1e-12
     assert MsSsimConfig.for_shape(24, 26).scales == 2
     ref = _reference_ms_ssim(x, y, (0.0448, 0.2856))
     assert abs(ms_ssim_value(x, y) - ref) <= 1e-12

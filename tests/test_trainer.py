@@ -152,6 +152,17 @@ def test_config_validation():
         train(small_dataset(), small_config(kernel_size=25))  # wider than the 24 px grids
 
 
+@pytest.mark.parametrize(
+    "cls,name",
+    [(EosConfig, "mutation_sigma"), (TrainConfig, "init_alpha"), (TrainConfig, "init_beta"),
+     (TrainConfig, "learning_rate")],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_config_value_is_a_config_error(cls, name, value):
+    with pytest.raises(ConfigError):
+        cls(**{name: value}).validate()
+
+
 def test_one_validation_pass_per_eval_or_trigger_iteration(monkeypatch):
     calls = []
 
