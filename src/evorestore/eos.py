@@ -16,7 +16,6 @@ toward the lower candidate index).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -89,7 +88,7 @@ class EosConfig:
             raise ConfigError(
                 f"elites must be in 1..population({self.population}), got {self.elites}"
             )
-        if not 0 <= self.mutation_sigma < math.inf:
+        if not 0 <= self.mutation_sigma < np.inf:
             raise ConfigError(
                 f"mutation_sigma must be finite and >= 0, got {self.mutation_sigma}"
             )
