@@ -31,8 +31,8 @@ from .eos import (
 from .errors import ConfigError, DimensionError, DivergenceError, NumericIntegrityError
 from .fmm import load_params, save_params
 from .losses import WeightPair
-from .trainer import EvalPoint, IterationRow, MetricsRow, evaluate, train
-from .util import parse_cell, read_records, write_records
+from .trainer import EvalPoint, IterationRow, MetricsRow, RunSummary, evaluate, train
+from .util import read_records, write_records
 
 OUT_ENV = "EVORESTORE_OUT"
 
@@ -159,12 +159,7 @@ def _cmd_train(args) -> int:
     write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, candidates)
     summaries = [t.summary() for t in trace.eos_traces]
     write_records(os.path.join(args.out, "eos_summary.csv"), TriggerSummary, summaries)
-    with open(os.path.join(args.out, "run_summary.txt"), "w") as fh:
-        fh.write(f"iterations = {app.trainer.iterations}\n")
-        fh.write(f"wall_ms = {trace.wall_ms!r}\n")
-        fh.write(f"triggers = {len(trace.eos_traces)}\n")
-        fh.write(f"final_alpha = {trace.rows[-1].alpha!r}\n")
-        fh.write(f"final_beta = {trace.rows[-1].beta!r}\n")
+    write_records(os.path.join(args.out, "run_summary.csv"), RunSummary, [trace.summary()])
 
     last = trace.rows[-1]
     print(
@@ -229,28 +224,14 @@ def _cmd_oracle(args) -> int:
     return 0 if failures == 0 else 4
 
 
-def _read_kv(path) -> dict:
-    """The `key = value` lines of run_summary.txt, later keys winning."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            pairs = [line.partition("=") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise NumericIntegrityError(f"{path}: not UTF-8 text") from exc
-    return {k.strip(): v.strip() for k, sep, v in pairs if sep}
-
-
 def _cmd_report(args) -> int:
     run_dir = args.run
-    summary = os.path.join(run_dir, "run_summary.txt")
-    wall_text = _read_kv(summary).get("wall_ms", "0")
-    try:
-        train_wall_ms = parse_cell("float", wall_text)
-    except ValueError as exc:
-        raise NumericIntegrityError(
-            f"{summary}: wall_ms {wall_text!r} is not a finite decimal"
-        ) from exc
+    summary = os.path.join(run_dir, "run_summary.csv")
+    runs = read_records(summary, RunSummary)
+    if len(runs) != 1 or runs[0].wall_ms < 0:
+        raise NumericIntegrityError(f"{summary}: expected one row with wall_ms >= 0")
     records = read_records(os.path.join(run_dir, "eos_summary.csv"), TriggerSummary)
-    report = eos_overhead_report(records, train_wall_ms)
+    report = eos_overhead_report(records, runs[0].wall_ms)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "overhead.csv"), OverheadReport, [report])
     print(

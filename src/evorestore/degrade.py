@@ -28,6 +28,7 @@ from .grids import (
     as_grids,
     conv2_periodic,
     gaussian_kernel,
+    hermitian_flip,
     read_fgrid,
     write_fgrid,
 )
@@ -188,7 +189,7 @@ def synthetic_clean_images(n: int, height: int, width: int, seed: int = 0) -> li
                 amp = rng.normal() / (1.0 + r * r)
                 phase = rng.uniform(0, 2 * math.pi)
                 spec[u % height, v % width] = amp * np.exp(1j * phase)
-        spec = 0.5 * (spec + np.conj(np.roll(spec[::-1, ::-1], (1, 1), axis=(0, 1))))
+        spec = 0.5 * (spec + np.conj(hermitian_flip(spec)))
         base = np.fft.ifft2(spec, norm="ortho").real
 
         # geometric accents: a couple of rectangles and a disc

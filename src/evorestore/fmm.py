@@ -46,14 +46,13 @@ Spatial mask parameterizations:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericIntegrityError
-from .grids import as_grids, as_kernel, check_kernel_fits, gaussian_kernel
+from .grids import as_grids, as_kernel, check_kernel_fits, gaussian_kernel, hermitian_flip
 from .util import add_in_order
 
 MASK_PER_FREQUENCY = "per_frequency"
@@ -67,11 +66,6 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def hermitian_flip(a: np.ndarray) -> np.ndarray:
-    """b[i, j] = a[(-i) % H, (-j) % W] — index map of conjugate symmetry."""
-    return np.roll(a[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
 _BIN_CACHE: dict = {}
@@ -481,12 +475,11 @@ def apply_update(p: FmmParams, g: FmmGrads, lr: float, *, freeze=()) -> FmmParam
 FMMP_VERSION = 1
 
 
-def params_to_bytes(p: FmmParams) -> bytes:
-    validate_params(p)
-    buf = io.BytesIO()
+def _fmmp_header(p: FmmParams) -> bytes:
+    """The FMMP header of `p` through its DATA line, the one spelling the format has."""
     spec_shape = " ".join(str(d) for d in p.spectral_logits.shape)
     spat_shape = " ".join(str(d) for d in p.spatial_logits.shape)
-    header = (
+    return (
         f"FMMP {FMMP_VERSION}\n"
         f"mask_mode {p.mask_mode}\n"
         f"spatial_mode {p.spatial_mode}\n"
@@ -494,11 +487,15 @@ def params_to_bytes(p: FmmParams) -> bytes:
         f"spectral {spec_shape}\n"
         f"spatial {spat_shape}\n"
         f"DATA\n"
+    ).encode("ascii")
+
+
+def params_to_bytes(p: FmmParams) -> bytes:
+    validate_params(p)
+    blocks = (p.lowpass, p.spectral_logits, p.spatial_logits)
+    return _fmmp_header(p) + b"".join(
+        np.ascontiguousarray(block, dtype="<f8").tobytes() for block in blocks
     )
-    buf.write(header.encode("ascii"))
-    for block in (p.lowpass, p.spectral_logits, p.spatial_logits):
-        buf.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
-    return buf.getvalue()
 
 
 def params_from_bytes(data: bytes) -> FmmParams:
@@ -512,18 +509,11 @@ def params_from_bytes(data: bytes) -> FmmParams:
 
 
 def _parse_fmmp(data: bytes) -> FmmParams:
+    """Read the fields that size the blocks, then require the header params_to_bytes writes."""
     head, sep, payload = data.partition(b"DATA\n")
     if not sep:
         raise NumericIntegrityError("FMMP payload missing DATA marker")
-    lines = head.decode("ascii").splitlines()
-    if not lines or not lines[0].startswith("FMMP "):
-        raise NumericIntegrityError("not an FMMP payload")
-    version = int(lines[0].split()[1])
-    if version != FMMP_VERSION:
-        raise NumericIntegrityError(f"unsupported FMMP version {version}")
-    fields = dict(line.partition(" ")[::2] for line in lines[1:])
-    mask_mode = fields["mask_mode"]
-    spatial_mode = fields["spatial_mode"]
+    fields = dict(line.partition(" ")[::2] for line in head.decode("ascii").splitlines())
     ksize = int(fields["kernel"])
     spec_shape = tuple(int(v) for v in fields["spectral"].split())
     spat_shape = tuple(int(v) for v in fields["spatial"].split())
@@ -549,8 +539,10 @@ def _parse_fmmp(data: bytes) -> FmmParams:
         off += count * 8
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise NumericIntegrityError("FMMP payload holds NaN or infinite values")
-    p = FmmParams(blocks[0], mask_mode, blocks[1], spatial_mode, blocks[2])
+    p = FmmParams(blocks[0], fields["mask_mode"], blocks[1], fields["spatial_mode"], blocks[2])
     validate_params(p)  # a ConfigError or DimensionError is wrapped by params_from_bytes
+    if _fmmp_header(p) != head + sep:
+        raise NumericIntegrityError(f"FMMP header {head!r} is not the one its writer writes")
     return p
 
 

@@ -49,6 +49,11 @@ def fft2(x) -> np.ndarray:
     return np.fft.fft2(as_grids(x), norm="ortho")
 
 
+def hermitian_flip(a: np.ndarray) -> np.ndarray:
+    """b[i, j] = a[(-i) % H, (-j) % W] — index map of conjugate symmetry."""
+    return np.roll(a[::-1, ::-1], (1, 1), axis=(0, 1))
+
+
 def as_kernel(k) -> np.ndarray:
     """Validate a square odd-sized 2D tap array."""
     a = np.asarray(k, dtype=np.float64)
@@ -157,29 +162,29 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 # FGRID container: "FGRID <height> <width>\n" + row-major little-endian float64
 # ---------------------------------------------------------------------------
 
-FGRID_MAGIC = b"FGRID"
+_FGRID_HEADER = b"FGRID %d %d\n"
 
 
 def write_fgrid(path, x) -> None:
     x = as_grid(x)
     with open(path, "wb") as fh:
-        fh.write(b"FGRID %d %d\n" % x.shape)
+        fh.write(_FGRID_HEADER % x.shape)
         fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
 def read_fgrid(path) -> np.ndarray:
+    """The grid write_fgrid wrote; a header spelt any other way is NumericIntegrityError."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != FGRID_MAGIC:
-            raise NumericIntegrityError(f"{path}: malformed FGRID header {header!r}")
-        try:
-            h, w = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise NumericIntegrityError(f"{path}: bad FGRID dimensions {header!r}") from exc
-        if h < 1 or w < 1:
-            raise DimensionError(f"{path}: FGRID dimensions must be positive, got {h}x{w}")
         payload = fh.read()
+    try:
+        h, w = (int(v) for v in header.split()[1:3])
+    except ValueError as exc:
+        raise NumericIntegrityError(f"{path}: malformed FGRID header {header!r}") from exc
+    if header != _FGRID_HEADER % (h, w):
+        raise NumericIntegrityError(f"{path}: malformed FGRID header {header!r}")
+    if h < 1 or w < 1:
+        raise DimensionError(f"{path}: FGRID dimensions must be positive, got {h}x{w}")
     expect = h * w * 8
     if len(payload) != expect:
         raise NumericIntegrityError(

@@ -28,7 +28,7 @@ import numpy as np
 from . import fmm
 from .degrade import psnr
 from .errors import ConfigError
-from .grids import conv2_periodic, fft2, identity_kernel, transfer
+from .grids import conv2_periodic, fft2, hermitian_flip, identity_kernel, transfer
 from .losses import MsSsimConfig, charbonnier, ms_ssim
 from .util import stacks
 
@@ -317,7 +317,7 @@ def make_spectral_test_image(
     spec = np.where(
         support, np.exp(1j * rng.uniform(0, 2 * math.pi, size=(height, width))), 0.0
     )
-    spec = 0.5 * (spec + np.conj(fmm.hermitian_flip(spec)))
+    spec = 0.5 * (spec + np.conj(hermitian_flip(spec)))
     # symmetrizing random phases would randomize magnitudes too; keep only the
     # symmetric phase and pin every support coefficient back to magnitude one
     spec = np.where(support, np.exp(1j * np.angle(spec)), 0.0)

@@ -114,6 +114,22 @@ class TrainTrace:
     eos_traces: list = field(default_factory=list)  # EosTrace per trigger
     wall_ms: float = 0.0
 
+    def summary(self) -> RunSummary:
+        last = self.rows[-1]
+        triggers = len(self.eos_traces)
+        return RunSummary(len(self.rows), self.wall_ms, triggers, last.alpha, last.beta)
+
+
+@dataclass
+class RunSummary:
+    """The one row of a train run's run_summary.csv."""
+
+    iterations: int
+    wall_ms: float
+    triggers: int
+    final_alpha: float
+    final_beta: float
+
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     """Endless batches: the whole consecutive slices of seeded per-epoch permutations."""

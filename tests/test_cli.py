@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -143,14 +144,18 @@ def test_degrade_from_image_directory(tmp_path):
 
 def test_train_writes_artifacts(run_dirs):
     _, out = run_dirs
+    from evorestore.trainer import RunSummary
+    from evorestore.util import read_records
+
     for name in ("final.fmmp", "trace.csv", "eval.csv", "eos_trace.csv",
-                 "eos_summary.csv", "run_summary.txt"):
+                 "eos_summary.csv", "run_summary.csv"):
         assert (out / name).exists(), name
-    summary = (out / "run_summary.txt").read_text()
-    assert "iterations = 8" in summary
+    (summary,) = read_records(out / "run_summary.csv", RunSummary)
+    assert summary.iterations == 8
     # interval 4 over 8 iterations: the trigger landing on the last iteration
     # is skipped (its weights could never be used), leaving one
-    assert "triggers = 1" in summary
+    assert summary.triggers == 1
+    assert summary.wall_ms > 0 and summary.final_alpha + summary.final_beta == pytest.approx(1)
     trace = (out / "trace.csv").read_text().strip().split("\n")
     assert len(trace) == 1 + 8
     summary_head = (out / "eos_summary.csv").read_text().split("\n")[0]
@@ -221,7 +226,7 @@ def test_report_svg_charts(run_dirs, tmp_path):
     # single-row eval.csv and a flat loss series must not divide by zero
     edge = tmp_path / "edge"
     edge.mkdir()
-    for name in ("run_summary.txt", "eos_summary.csv"):
+    for name in ("run_summary.csv", "eos_summary.csv"):
         (edge / name).write_text((out / name).read_text())
     (edge / "trace.csv").write_text(
         "iteration,loss_fid,loss_perc,loss_combined,alpha,beta,lr\n"
@@ -248,7 +253,7 @@ def test_report_svg_charts(run_dirs, tmp_path):
 
 def test_report_rejects_malformed_eos_summary(run_dirs, tmp_path, capsys):
     _, out = run_dirs
-    (tmp_path / "run_summary.txt").write_text((out / "run_summary.txt").read_text())
+    (tmp_path / "run_summary.csv").write_text((out / "run_summary.csv").read_text())
     summary = tmp_path / "eos_summary.csv"
     header = "trigger,winner_alpha,winner_beta,eval_ms,total_ms,evaluations\n"
     for text, column in (
@@ -285,15 +290,21 @@ def _drop_column(blob, col):
         ("trace.csv", lambda b: _replace_cell(b, 3, b"inf")),
         ("trace.csv", lambda b: _replace_cell(b, 0, b"1.5")),
         ("eval.csv", lambda b: _replace_cell(b, 1, b"-inf")),
-        ("run_summary.txt", lambda b: re.sub(rb"wall_ms = .*", b"wall_ms = nan", b)),
-        ("run_summary.txt", lambda b: b"\xff" + b),
+        ("run_summary.csv", lambda b: _replace_cell(b, 1, b"nan")),
+        ("run_summary.csv", lambda b: b"\xff" + b),
+        ("run_summary.csv", lambda b: b""),
+        ("run_summary.csv", lambda b: b.split(b"\n")[0] + b"\n"),
+        ("run_summary.csv", lambda b: b + b.split(b"\n")[1] + b"\n"),
+        ("run_summary.csv", lambda b: _replace_cell(b, 1, b"-3.0")),
         ("eos_summary.csv", lambda b: _replace_cell(b, 1, b"0.5\xff")),
         ("trace.csv", lambda b: _replace_cell(b, 1, b"\xfe0.1")),
         ("eval.csv", lambda b: b"\x80" + b),
     ],
     ids=[
         "trace-missing-column", "trace-nan", "trace-inf", "trace-float-iteration",
-        "eval-minus-inf", "summary-nan-wall-ms", "summary-non-utf8", "eos-summary-non-utf8",
+        "eval-minus-inf", "summary-nan-wall-ms", "summary-non-utf8", "summary-empty",
+        "summary-header-only", "summary-two-rows", "summary-negative-wall-ms",
+        "eos-summary-non-utf8",
         "trace-non-utf8", "eval-non-utf8",
     ],
 )
@@ -494,7 +505,7 @@ def test_manifest_index_out_of_place_exit_code(run_dirs, tmp_path, capsys, indic
 def test_every_csv_the_package_writes_reads_back_to_the_same_bytes(run_dirs, tmp_path):
     from evorestore.degrade import ManifestRow
     from evorestore.eos import OverheadReport, TriggerSummary
-    from evorestore.trainer import EvalPoint, IterationRow, MetricsRow
+    from evorestore.trainer import EvalPoint, IterationRow, MetricsRow, RunSummary
     from evorestore.util import read_records, write_records
 
     data, out = run_dirs
@@ -504,6 +515,7 @@ def test_every_csv_the_package_writes_reads_back_to_the_same_bytes(run_dirs, tmp
     files = [
         (data / "manifest.txt", ManifestRow), (out / "trace.csv", IterationRow),
         (out / "eval.csv", EvalPoint), (out / "eos_summary.csv", TriggerSummary),
+        (out / "run_summary.csv", RunSummary),
         (tmp_path / "metrics.csv", MetricsRow), (tmp_path / "overhead.csv", OverheadReport),
     ]
     for path, cls in files:
@@ -511,6 +523,31 @@ def test_every_csv_the_package_writes_reads_back_to_the_same_bytes(run_dirs, tmp
         assert records, path
         write_records(tmp_path / "again.csv", cls, records)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path
+
+
+def _readme_artifacts():
+    """The names in the first column of the README's run-artifacts table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Run artifacts", 1)[1].split("\n\n", 2)[1]
+    first_cells = [row.split("|")[1] for row in table.splitlines()[2:]]
+    return {name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_run_artifacts_table_names_every_file_the_commands_write(tmp_path):
+    data, run, ev, eos, rep = (tmp_path / d for d in ("data", "run", "eval", "eos", "report"))
+    manifest = ["--manifest", str(data / "manifest.txt")]
+    checkpoint = ["--checkpoint", str(run / "final.fmmp")]
+    for argv in (
+        ["degrade", "--synthetic", "4", "--size", "16", "--set", SPECS, "-o", str(data)],
+        ["train", *manifest, *TINY_TRAIN, "-o", str(run)],
+        ["eval", *manifest, *checkpoint, "-o", str(ev)],
+        ["eos-trace", *manifest, *checkpoint, "--set", "eos.population=3",
+         "--set", "eos.generations=2", "--set", "eos.elites=1", "-o", str(eos)],
+        ["report", "--run", str(run), "--svg", "-o", str(rep)],
+    ):
+        assert cli.main(argv) == 0, argv[0]
+    written = {p.name + "/" * p.is_dir() for d in (data, run, ev, eos, rep) for p in d.iterdir()}
+    assert written == _readme_artifacts()
 
 
 @pytest.mark.parametrize("eps", ["1e200", "1e-200"])

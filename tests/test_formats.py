@@ -8,6 +8,10 @@ succeed with a well-formed result or raise ConfigError, DimensionError or
 NumericIntegrityError, which the CLI maps to exit codes 2 and 5. Config files
 (arbitrary bytes) and `--set` overrides (known or arbitrary keys, arbitrary
 values) must load with finite float values or raise ConfigError.
+
+The FMMP and FGRID readers accept only the header their writer writes: a
+valid file with line-level header edits must raise a package error or load
+to a value that writes back to the same bytes.
 """
 
 import math
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from evorestore import fmm
+from evorestore import cli, fmm
 from evorestore.config import documented_keys, load_config
 from evorestore.degrade import ManifestRow, SplitConfig, load_dataset, read_pgm, write_pgm
 from evorestore.eos import TriggerSummary
@@ -61,6 +65,38 @@ def _edited(blob: bytes):
 
     edit = st.tuples(st.integers(0, 5), st.integers(0, 1 << 16), st.integers(0, 255))
     return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+def _header_mutants(blob: bytes, header_end: int):
+    """`blob` with lines of its first `header_end` bytes inserted, deleted, replaced,
+    duplicated, padded or given other line ends."""
+    lines = blob[:header_end].splitlines(keepends=True)
+    line = st.one_of(st.sampled_from(lines), TOKENS.map(lambda t: t.encode("utf-8") + b"\n"))
+    pad = st.sampled_from([b" ", b"  ", b"\t", b"0", b"+", b"\0"])
+    end = st.sampled_from([b"\r\n", b"\r", b"", b"\n\n", b" \n", b"\t\n"])
+
+    def apply(edits):
+        out = list(lines)
+        for kind, i, new, p, e in edits:
+            k = i % len(out) if out else 0
+            if kind == 0 or not out:
+                out.insert(i % (len(out) + 1), new)
+            elif kind == 1:
+                del out[k]
+            elif kind == 2:
+                out[k] = new
+            elif kind == 3:
+                out.insert(k, out[k])
+            elif kind == 4:
+                out[k] = p + out[k]
+            elif kind == 5:
+                out[k] = out[k].replace(b" ", b" " + p, 1) if b" " in out[k] else out[k] + p
+            else:
+                out[k] = out[k].rstrip(b"\r\n") + e
+        return b"".join(out) + blob[header_end:]
+
+    edit = st.tuples(st.integers(0, 6), st.integers(0, 16), line, pad, end)
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
 
 
 def _expect_parse_or_package_error(parse, data):
@@ -111,6 +147,13 @@ def test_params_from_bytes_parses_or_raises_a_package_error(data):
         assert np.array_equal(again.spectral_logits, p.spectral_logits)
 
 
+@PROPERTY
+@given(_header_mutants(_FMMP, _FMMP.index(b"DATA\n") + 5))
+def test_fmmp_header_mutants_raise_or_write_back_the_same_bytes(data):
+    p = _expect_parse_or_package_error(fmm.params_from_bytes, data)
+    assert p is None or fmm.params_to_bytes(p) == data
+
+
 def test_params_from_bytes_rejects_non_finite_values():
     p = fmm.default_params(6, 6)
     p.spatial_logits[2, 3] = np.nan
@@ -153,6 +196,80 @@ def test_read_fgrid_parses_or_raises_a_package_error(scratch, data):
     x = _expect_parse_or_package_error(read_fgrid, path)
     if x is not None:
         assert x.ndim == 2 and x.dtype == np.float64 and np.all(np.isfinite(x))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_fgrid_header_mutants_raise_or_write_back_the_same_bytes(scratch, data):
+    valid = scratch / "valid.fgrid"
+    if not valid.exists():
+        write_fgrid(valid, _grid())
+    blob = valid.read_bytes()
+    path = scratch / "case.fgrid"
+    path.write_bytes(data.draw(_header_mutants(blob, blob.index(b"\n") + 1)))
+    x = _expect_parse_or_package_error(read_fgrid, path)
+    if x is not None:
+        write_fgrid(scratch / "again.fgrid", x)
+        assert (scratch / "again.fgrid").read_bytes() == path.read_bytes()
+
+
+_MASK, _SPATIAL = b"mask_mode radial_bins\n", b"spatial_mode per_pixel\n"
+_FGRID_LINE = b"FGRID 3 4\n"
+# header spellings int() and split() read but the writers never write
+SPELLINGS = {
+    "fmmp-plus-kernel": ("fmmp", lambda b: b.replace(b"kernel 5\n", b"kernel +5\n")),
+    "fmmp-zero-padded-kernel": ("fmmp", lambda b: b.replace(b"kernel 5\n", b"kernel 05\n")),
+    "fmmp-zero-padded-version": ("fmmp", lambda b: b.replace(b"FMMP 1\n", b"FMMP 01\n")),
+    "fmmp-repeated-key": ("fmmp", lambda b: b.replace(b"kernel 5\n", b"kernel 5\n" * 2)),
+    "fmmp-unknown-key": ("fmmp", lambda b: b.replace(b"DATA\n", b"colour red\nDATA\n", 1)),
+    "fmmp-reordered-lines": ("fmmp", lambda b: b.replace(_MASK + _SPATIAL, _SPATIAL + _MASK)),
+    "fmmp-crlf": ("fmmp", lambda b: b.replace(b"\n", b"\r\n", 6)),  # the six lines before DATA
+    "fmmp-double-space": ("fmmp", lambda b: b.replace(b"spectral 4\n", b"spectral  4\n")),
+    "fgrid-plus-height": ("fgrid", lambda b: b.replace(_FGRID_LINE, b"FGRID +3 4\n")),
+    "fgrid-zero-padded-height": ("fgrid", lambda b: b.replace(_FGRID_LINE, b"FGRID 03 4\n")),
+    "fgrid-tab": ("fgrid", lambda b: b.replace(_FGRID_LINE, b"FGRID\t3 4\n")),
+    "fgrid-trailing-space": ("fgrid", lambda b: b.replace(_FGRID_LINE, b"FGRID 3 4 \n")),
+    "fgrid-crlf": ("fgrid", lambda b: b.replace(_FGRID_LINE, b"FGRID 3 4\r\n")),
+}
+
+
+NOISE = ["--set", "degradation.specs=noise(sigma=0.1,seed=5)"]
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["degrade", "--synthetic", "2", "--size", "8", *NOISE, "-o", str(out)]) == 0
+    return out / "manifest.txt"
+
+
+@pytest.mark.parametrize("name", SPELLINGS)
+def test_header_spellings_the_writers_never_write_are_rejected(
+    name, tiny_dataset, tmp_path, capsys
+):
+    fmt_name, edit = SPELLINGS[name]
+    if fmt_name == "fmmp":
+        blob = edit(_FMMP)
+        assert blob != _FMMP
+        with pytest.raises(NumericIntegrityError):
+            fmm.params_from_bytes(blob)
+        path = tmp_path / "bad.fmmp"
+        path.write_bytes(blob)
+        argv = ["eval", "--manifest", str(tiny_dataset), "--checkpoint", str(path)]
+    else:
+        images = tmp_path / "images"
+        images.mkdir()
+        path = images / "bad.fgrid"
+        write_fgrid(path, _grid())
+        path.write_bytes(edit(path.read_bytes()))
+        assert not path.read_bytes().startswith(_FGRID_LINE)
+        with pytest.raises(NumericIntegrityError):
+            read_fgrid(path)
+        argv = ["degrade", "--images", str(images), *NOISE]
+    capsys.readouterr()
+    assert cli.main([*argv, "-o", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt or inconsistent input: ") and "Traceback" not in err
 
 
 def _pgm_headers():
