@@ -24,7 +24,13 @@ import numpy as np
 from .degrade import PSNR_CAP_DB, psnr
 from .errors import ConfigError, NumericIntegrityError
 from .fmm import FmmParams, fmm_forward, prepare
-from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier, ssim_and_ms_ssim
+from .losses import (
+    DEFAULT_CHARBONNIER_EPS,
+    WeightPair,
+    charbonnier_value,
+    ms_ssim_value,
+    ssim_and_ms_ssim,
+)
 from .util import stacks
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "sample_simplex",
     "ValidationTable",
     "validate",
+    "loss_means",
     "run_eos",
     "search_weights",
     "eos_overhead_report",
@@ -179,29 +186,52 @@ class ValidationTable:
         )
 
 
-def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> ValidationTable:
-    """Restore (degraded, clean) pairs with a frozen model and score each restoration.
+def _restorations(params: FmmParams, pairs):
+    """Yield (y_hat, clean) per stack of (degraded, clean) pairs restored by a frozen model.
 
-    Pairs run through the operator and the losses as stacks (see
-    util.stacks); the operator is prepared once per grid shape, and MS-SSIM
-    picks its scales from each stack's grid shape.
+    Pairs run through the operator as stacks (see util.stacks), prepared
+    once per grid shape; the degraded stack is let go before its
+    restoration is scored.
     """
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("validation set is empty")
-    cols = ([], [], [], [])
     preps = {}
     for x, target in stacks([p[0] for p in pairs], [p[1] for p in pairs]):
         shape = x.shape[-2:]
         if shape not in preps:
             preps[shape] = prepare(params, *shape)
         y = fmm_forward(x, params, preps[shape]).y_hat
+        del x
+        yield y, target
+
+
+def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> ValidationTable:
+    """Restore (degraded, clean) pairs with a frozen model and score each restoration.
+
+    MS-SSIM picks its scales from each stack's grid shape.
+    """
+    cols = ([], [], [], [])
+    for y, target in _restorations(params, pairs):
         cols[0].append(psnr(y, target))
         ssim, ms = ssim_and_ms_ssim(y, target)
         cols[1].append(ssim)
-        cols[2].append(charbonnier(y, target, eps)[0])
+        cols[2].append(charbonnier_value(y, target, eps))
         cols[3].append(1.0 - ms)
     return ValidationTable(*(np.concatenate(c) for c in cols))
+
+
+def loss_means(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS):
+    """The search's two inputs alone: `validate(params, pairs, eps).loss_means()`, bit for bit.
+
+    Forms the Charbonnier and MS-SSIM values of each pair, and no PSNR,
+    SSIM or gradient.
+    """
+    fid, perc = [], []
+    for y, target in _restorations(params, pairs):
+        fid.append(charbonnier_value(y, target, eps))
+        perc.append(1.0 - ms_ssim_value(y, target))
+    return float(np.mean(np.concatenate(fid))), float(np.mean(np.concatenate(perc)))
 
 
 def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
@@ -222,9 +252,9 @@ def run_eos(
     trigger_index: int = 0,
     eps: float = DEFAULT_CHARBONNIER_EPS,
 ):
-    """One search trigger on a read-only model: validate, then search_weights."""
+    """One search trigger on a read-only model: loss_means, then search_weights."""
     t0 = time.perf_counter()
-    means = validate(params, val_set, eps).loss_means()
+    means = loss_means(params, val_set, eps)
     eval_ms = (time.perf_counter() - t0) * 1e3
     return search_weights(*means, cfg, init, trigger_index=trigger_index, eval_ms=eval_ms)
 

@@ -60,6 +60,9 @@ MASK_RADIAL_BINS = "radial_bins"
 SPATIAL_PER_PIXEL = "per_pixel"
 SPATIAL_GAP_AFFINE = "gap_affine"
 
+# The parameter blocks, by the names `prepare(train=...)` and `apply_update(freeze=...)` take.
+BLOCKS = ("lowpass", "spectral", "spatial")
+
 
 def sigmoid(x):
     """Numerically stable logistic; min(x, -x) is -|x| and keeps a NaN's sign bit."""
@@ -137,7 +140,8 @@ class Prepared:
 
     Every stack of a training step or a validation pass shares one parameter
     set, so `prepare` builds these once; the three forward stages and the
-    backward read them.
+    backward read them. `train` names the blocks whose gradient the backward
+    forms.
     """
 
     shape: tuple  # the (H, W) they were built for
@@ -145,6 +149,7 @@ class Prepared:
     spectral_mask: np.ndarray  # materialized (H, W) real mask
     spectral_half: np.ndarray  # its columns 0..W//2, which the gate and its adjoint apply
     spatial_mask: np.ndarray | None  # the per_pixel sigmoid (H, W); None in gap_affine mode
+    train: frozenset  # names from BLOCKS
 
 
 def default_params(
@@ -198,9 +203,16 @@ def validate_params(p: FmmParams, h: int | None = None, w: int | None = None) ->
         raise ConfigError(f"unknown spatial_mode {p.spatial_mode!r}")
 
 
-def prepare(p: FmmParams, h: int, w: int) -> Prepared:
-    """Validate `p` against (h, w) and build its parameter-only arrays once."""
+def prepare(p: FmmParams, h: int, w: int, train=BLOCKS) -> Prepared:
+    """Validate `p` against (h, w) and build its parameter-only arrays once.
+
+    `train` names the blocks (from BLOCKS) a `GradSums` on this Prepared
+    differentiates; the others' gradient terms are never formed.
+    """
     validate_params(p, h, w)
+    train = frozenset(train)
+    if not train <= set(BLOCKS):
+        raise ConfigError(f"unknown parameter blocks {sorted(train - set(BLOCKS))}")
     transfer = half_transfer(p.lowpass, h, w)
     mask = spectral_mask(p, h, w)
     return Prepared(
@@ -209,6 +221,7 @@ def prepare(p: FmmParams, h: int, w: int) -> Prepared:
         mask,
         np.ascontiguousarray(mask[:, : w // 2 + 1]),
         sigmoid(p.spatial_logits) if p.spatial_mode == SPATIAL_PER_PIXEL else None,
+        train,
     )
 
 
@@ -357,8 +370,9 @@ def fmm_backward(
     """Exact dL/d(params) given dL/dy: `GradSums` over one stack, finished at once.
 
     `prep` is the `prepare(p, H, W)` the forward pass used, built here when
-    not given. For a stack, L is the sum of the per-grid losses whose
-    gradients grad_out holds, so the parameter gradients are summed over it.
+    not given, so every block's gradient is formed. For a stack, L is the sum
+    of the per-grid losses whose gradients grad_out holds, so the parameter
+    gradients are summed over it.
     """
     sums = GradSums(p, prepare(p, *acts.y_hat.shape[-2:]) if prep is None else prep)
     sums.add(acts, grad_out)
@@ -388,15 +402,24 @@ class GradSums:
     Re(Eh^T @ (P * w_v) @ Ew), where w_v = 2 on the half-spectrum columns that
     stand for a mirrored pair of full-spectrum columns, and 1 on column 0 and
     (even W) the Nyquist column W/2.
+
+    Only the blocks `prep.train` names are summed, and `finish` gives None
+    for the others. A frozen block's terms are formed only where a trained
+    block reads them: the kernel path reads the gap_affine gate's per-grid
+    dt, and the spectral and kernel paths share G.
     """
 
     def __init__(self, p: FmmParams, prep: Prepared):
         h, w = prep.shape
         self.p, self.prep = p, prep
-        self.spectral = np.zeros((h, w // 2 + 1))  # sum of Re(conj(G) * u_l)
-        self.kernel = np.zeros((h, w // 2 + 1), dtype=complex)  # sum of conj(G_l) * X
-        # sum of grad_out * x_h (per_pixel), or of [dt * mean|x_h|, dt] (gap_affine)
-        self.spatial = np.zeros((h, w) if p.spatial_mode == SPATIAL_PER_PIXEL else 2)
+        self.spectral = self.kernel = self.spatial = None
+        if "spectral" in prep.train:
+            self.spectral = np.zeros((h, w // 2 + 1))  # sum of Re(conj(G) * u_l)
+        if "lowpass" in prep.train:
+            self.kernel = np.zeros((h, w // 2 + 1), dtype=complex)  # sum of conj(G_l) * X
+        if "spatial" in prep.train:
+            # sum of grad_out * x_h (per_pixel), or of [dt * mean|x_h|, dt] (gap_affine)
+            self.spatial = np.zeros((h, w) if p.spatial_mode == SPATIAL_PER_PIXEL else 2)
 
     def add(self, acts: FmmActivations, grad_out) -> None:
         """Add the terms of each grid of one stack (or of one grid), in grid order."""
@@ -405,40 +428,49 @@ class GradSums:
             raise DimensionError(f"grad_out shape {gy.shape} != output {acts.y_hat.shape}")
         h, w = gy.shape[-2:]
         _check_shape(self.prep, h, w)
+        kernel = self.kernel is not None
 
-        G = np.fft.rfft2(gy, norm="ortho")
-        add_in_order(self.spectral, (np.conj(G) * acts.u_l).real)
+        if kernel or self.spectral is not None:
+            G = np.fft.rfft2(gy, norm="ortho")
+        if self.spectral is not None:
+            add_in_order(self.spectral, (np.conj(G) * acts.u_l).real)
 
         m = acts.spatial_mask
         if self.p.spatial_mode == SPATIAL_PER_PIXEL:
-            add_in_order(self.spatial, gy * acts.x_h)
-            g_xh = gy * m
-        else:
+            if self.spatial is not None:
+                add_in_order(self.spatial, gy * acts.x_h)
+            g_xh = gy * m if kernel else None
+        elif kernel or self.spatial is not None:
             a = float(self.p.spatial_logits[0])
             s = np.sum(gy * acts.x_h, axis=(-2, -1), keepdims=True)
             dt = s * m * (1.0 - m)  # dL/d(pre-sigmoid scalar), per grid
-            add_in_order(self.spatial, np.stack([dt * acts.gap_mean, dt], axis=-1))
-            g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h)
+            if self.spatial is not None:
+                add_in_order(self.spatial, np.stack([dt * acts.gap_mean, dt], axis=-1))
+            g_xh = m * gy + (dt * a / (h * w)) * np.sign(acts.x_h) if kernel else None
 
-        G_l = self.prep.spectral_half * G
-        G_l -= np.fft.rfft2(g_xh, norm="ortho")
-        add_in_order(self.kernel, np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
+        if kernel:
+            G_l = self.prep.spectral_half * G
+            G_l -= np.fft.rfft2(g_xh, norm="ortho")
+            add_in_order(self.kernel, np.multiply(np.conj(G_l, out=G_l), acts.x_spec, out=G_l))
 
     def finish(self) -> FmmGrads:
         """The parameter gradients of every grid added so far; the sums are left as they are."""
         p, prep = self.p, self.prep
         h, w = prep.shape
-        g_mask = _mirror_half_spectrum(self.spectral, w)
-        g_spectral = spectral_mask_grad_to_logits(p, h, w, prep.spectral_mask, g_mask)
-        if p.spatial_mode == SPATIAL_PER_PIXEL:
+        g_taps = g_spectral = g_spatial = None
+        if self.spectral is not None:
+            g_mask = _mirror_half_spectrum(self.spectral, w)
+            g_spectral = spectral_mask_grad_to_logits(p, h, w, prep.spectral_mask, g_mask)
+        if self.spatial is not None and p.spatial_mode == SPATIAL_PER_PIXEL:
             m = prep.spatial_mask
             g_spatial = self.spatial * m * (1.0 - m)
-        else:
+        elif self.spatial is not None:
             g_spatial = self.spatial.copy()
-        P = self.kernel.copy()
-        P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
-        size = p.lowpass.shape[0]
-        g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real
+        if self.kernel is not None:
+            P = self.kernel.copy()
+            P[:, 1 : (w + 1) // 2] *= 2.0  # w_v: these columns stand for a mirrored pair
+            size = p.lowpass.shape[0]
+            g_taps = (_tap_phases(h, size).T @ P @ _tap_phases(w, size)[: w // 2 + 1]).real
         return FmmGrads(g_taps, g_spectral, g_spatial)
 
 

@@ -94,16 +94,27 @@ def charbonnier_eps_squared(eps: float) -> float:
     return eps2
 
 
+def _charbonnier_mean(sq: np.ndarray, eps: float):
+    """Charbonnier's value from diff^2 in `sq`, which becomes sqrt(diff^2 + eps^2) in place."""
+    np.sqrt(np.add(sq, charbonnier_eps_squared(eps), out=sq), out=sq)
+    return _per_grid(_grid_mean(sq))
+
+
 def charbonnier(pred, target, eps: float = DEFAULT_CHARBONNIER_EPS):
     """Smooth L1 fidelity: mean(sqrt(diff^2 + eps^2)) and its exact gradient."""
     pred, target = _pair(pred, target)
-    eps2 = charbonnier_eps_squared(eps)
     diff = pred - target
     root = diff * diff
-    np.sqrt(np.add(root, eps2, out=root), out=root)
-    value = _per_grid(_grid_mean(root))
+    value = _charbonnier_mean(root, eps)
     root *= diff.shape[-2] * diff.shape[-1]
     return value, np.divide(diff, root, out=diff)
+
+
+def charbonnier_value(pred, target, eps: float = DEFAULT_CHARBONNIER_EPS):
+    """Charbonnier's value alone, the same bits as charbonnier's, from one buffer."""
+    pred, target = _pair(pred, target)
+    diff = pred - target
+    return _charbonnier_mean(np.multiply(diff, diff, out=diff), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +277,13 @@ def _upsample_adjoint(g: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _ssim_parts(x, y, win, with_luminance):
+def _ssim_parts(x, y, win, with_luminance, for_backward):
     """Windowed SSIM maps of two stacks, built in place on one buffer of the four moments.
 
     Only q = sxx + syy + c2 needs the variances, and the window is linear, so
-    x^2 + y^2 is filtered once in place of x^2 and y^2.
+    x^2 + y^2 is filtered once in place of x^2 and y^2. Without a backward
+    nothing reads q once cs is formed, so the luminance's denominator s takes
+    its buffer.
     """
     moments = np.empty((4,) + x.shape)
     mx, my, ess, exy = moments
@@ -287,7 +300,7 @@ def _ssim_parts(x, y, win, with_luminance):
     cs /= q  # (2 sxy + c2) / q
     parts = {"x": x, "y": y, "mx": mx, "my": my, "q": q, "cs": cs, "win": win}
     if with_luminance:
-        s = mx * mx
+        s = np.multiply(mx, mx, out=None if for_backward else q)
         np.add(np.add(s, np.multiply(my, my, out=t), out=s), SSIM_C1, out=s)
         l = np.add(np.multiply(np.multiply(mx, 2.0, out=t), my, out=t), SSIM_C1, out=t)
         parts["s"], parts["l"] = s, np.divide(l, s, out=l)  # (2 mx my + c1) / s
@@ -322,24 +335,27 @@ def _ms_ssim_core(pred, target, cfg: MsSsimConfig, want_grad: bool, want_ssim: b
 
     Returns (values, grads or None, SSIM values or None); the values are
     shaped (..., 1, 1). The SSIM values are the single-scale index at the
-    finest scale, from the same windowed moments.
+    finest scale, from the same windowed moments; want_ssim needs want_grad
+    false, as the index is formed in the luminance map's buffer. The value
+    path lets go of each scale's maps once it has their means.
     """
     cfg.validate_shape(*pred.shape[-2:])
-    xs, ys = [pred], [target]
-    for _ in range(cfg.scales - 1):
-        xs.append(_downsample2(xs[-1]))
-        ys.append(_downsample2(ys[-1]))
-
+    x, y, ssim = pred, target, None
     parts_all, cs_means = [], []
     for j in range(cfg.scales):
+        if j:
+            x, y = _downsample2(x), _downsample2(y)
         coarsest = j == cfg.scales - 1
-        parts = _ssim_parts(
-            xs[j], ys[j], _window(*xs[j].shape[-2:]), coarsest or (want_ssim and j == 0)
-        )
-        parts_all.append(parts)
+        finest_ssim = want_ssim and j == 0
+        parts = _ssim_parts(x, y, _window(*x.shape[-2:]), coarsest or finest_ssim, want_grad)
         cs_means.append(np.maximum(_grid_mean(parts["cs"]), _MEAN_FLOOR))
-    l_mean = np.maximum(_grid_mean(parts_all[-1]["l"]), _MEAN_FLOOR)
-    ssim = _grid_mean(parts_all[0]["l"] * parts_all[0]["cs"]) if want_ssim else None
+        if coarsest:
+            l_mean = np.maximum(_grid_mean(parts["l"]), _MEAN_FLOOR)
+        if finest_ssim:  # l * cs into l's buffer: every mean of l is taken
+            ssim = _grid_mean(np.multiply(parts["l"], parts["cs"], out=parts["l"]))
+        if want_grad:
+            parts_all.append(parts)
+        del parts
 
     w = cfg.weights
     value = l_mean ** w[-1]
@@ -355,8 +371,9 @@ def _ms_ssim_core(pred, target, cfg: MsSsimConfig, want_grad: bool, want_ssim: b
     # Walk coarse -> fine, pushing through the downsampling adjoint.
     g = None
     for j in range(cfg.scales - 1, -1, -1):
-        dx = _ssim_scale_backward(parts_all[j], g_cs[j], g_l if j == cfg.scales - 1 else None)
-        g = dx if g is None else np.add(dx, _upsample_adjoint(g, xs[j].shape), out=dx)
+        parts = parts_all[j]
+        dx = _ssim_scale_backward(parts, g_cs[j], g_l if j == cfg.scales - 1 else None)
+        g = dx if g is None else np.add(dx, _upsample_adjoint(g, parts["x"].shape), out=dx)
     return value, g, ssim
 
 

@@ -385,7 +385,7 @@ def wiener_recovery(
     # util.stacks' default budget holds 8 grids of 64 px per call.
     batches = list(stacks(noisy, [clean] * n_train))
     for _ in range(iterations):
-        sums = fmm.GradSums(p, fmm.prepare(p, height, width))
+        sums = fmm.GradSums(p, fmm.prepare(p, height, width, train=("spectral",)))
         for x, target in batches:
             acts = fmm.fmm_forward(x, p, sums.prep)
             sums.add(acts, charbonnier(acts.y_hat, target)[1])

@@ -9,9 +9,12 @@ Schedule semantics (all 1-based iteration indices):
   is the active weight pair for iterations i+1 .. i+T. Trigger r uses EOS seed
   `eos.seed + r`, warm-started from the currently active pair;
 * an iteration that evaluates, searches or both runs one validation pass,
-  and the eval point and the search both read it;
+  and the eval point and the search both read it; an iteration that only
+  searches runs the two-mean pass (eos.loss_means);
 * a combined batch loss above `divergence_limit` aborts with DivergenceError
-  naming the iteration.
+  naming the iteration. Training runs with numpy's overflow and invalid
+  warnings off, so a diverging run reports itself once, by that error;
+* the backward pass forms no gradient term of a block in `freeze`.
 
 Each batch runs through the operator, the losses and the backward pass as
 stacks of pairs (see util.stacks), and the validation pass is eos.validate.
@@ -31,8 +34,8 @@ import numpy as np
 
 from .degrade import PairedDataset
 from .errors import ConfigError, DivergenceError
-from .eos import EosConfig, search_weights, validate
-from .fmm import FmmParams, GradSums, apply_update, default_params, fmm_forward, prepare
+from .eos import EosConfig, loss_means, search_weights, validate
+from .fmm import BLOCKS, FmmParams, GradSums, apply_update, default_params, fmm_forward, prepare
 from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier_eps_squared, combined_loss
 from .util import add_in_order, stacks
 
@@ -55,7 +58,7 @@ class TrainConfig:
     spatial_mode: str = "per_pixel"
     kernel_size: int = 5
     n_bins: int = 8
-    # parameter blocks excluded from updates ("lowpass", "spectral", "spatial")
+    # parameter blocks (fmm.BLOCKS) excluded from updates and from the backward pass
     freeze: tuple = ()
     eos: EosConfig = field(default_factory=EosConfig)
 
@@ -81,7 +84,7 @@ class TrainConfig:
         if not (0 <= a < math.inf and 0 <= b < math.inf) or abs(a + b - 1.0) > 1e-9:
             raise ConfigError(f"init weights must be a convex pair, got ({a}, {b})")
         for name in self.freeze:
-            if name not in ("lowpass", "spectral", "spatial"):
+            if name not in BLOCKS:
                 raise ConfigError(f"unknown freeze block {name!r}")
         self.eos.validate()
 
@@ -147,6 +150,9 @@ def _dataset_shape(dataset: PairedDataset):
     return next(iter(shapes))
 
 
+# DivergenceError is the one report of a run that overflows; numpy's own
+# warnings would reach stderr first, several per iteration.
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: PairedDataset, cfg: TrainConfig):
     """Run the loop from default_params; returns (trained FmmParams, TrainTrace)."""
     cfg.validate()
@@ -168,6 +174,7 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
     batches = _batches(len(train_rows), cfg.batch_size, np.random.default_rng(cfg.seed))
     active = WeightPair(cfg.init_alpha, cfg.init_beta)
     trace = TrainTrace(weight_timeline=[(1, active.alpha, active.beta)])
+    trained = [b for b in BLOCKS if b not in cfg.freeze]
     t_start = time.perf_counter()
     trigger = 0
 
@@ -177,7 +184,7 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
             lr = cfg.learning_rate / 2.0
 
         batch = [train_rows[i] for i in next(batches)]
-        prep = prepare(params, h, w)
+        prep = prepare(params, h, w, train=trained)
         sums = GradSums(params, prep)
         loss_sums = np.zeros(3)  # fidelity, perceptual, combined
         for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
@@ -198,17 +205,22 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
         do_eval = cfg.eval_every > 0 and it % cfg.eval_every == 0
         do_search = it % cfg.eos.trigger_interval == 0 and it < cfg.iterations
         if val_set and (do_eval or do_search):
-            # one validation pass serves the eval point and the search trigger
+            # one validation pass serves the eval point and the search trigger;
+            # a search alone reads only the two loss means
             t0 = time.perf_counter()
-            table = validate(params, val_set, cfg.charbonnier_eps)
+            if do_eval:
+                table = validate(params, val_set, cfg.charbonnier_eps)
+                means = table.loss_means()
+            else:
+                means = loss_means(params, val_set, cfg.charbonnier_eps)
             eval_ms = (time.perf_counter() - t0) * 1e3
             if do_eval:
-                _count, _capped, *means = table.summary(slice(None))
-                trace.evals.append(EvalPoint(it, *means))
+                _count, _capped, *cols = table.summary(slice(None))
+                trace.evals.append(EvalPoint(it, *cols))
             if do_search:
                 trigger += 1
                 active, eos_trace = search_weights(
-                    *table.loss_means(),
+                    *means,
                     replace(cfg.eos, seed=cfg.eos.seed + trigger),
                     init=[active],
                     trigger_index=trigger,

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -574,6 +575,23 @@ def test_divergence_exit_code(run_dirs, tmp_path):
          "-o", str(tmp_path)]
     )
     assert rc == 3
+
+
+def test_divergence_is_the_only_report(run_dirs, tmp_path, capsys):
+    # before: seven numpy RuntimeWarnings (overflow, invalid value) came first
+    data, _ = run_dirs
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(
+            ["train", "--manifest", str(data / "manifest.txt"),
+             "--set", "trainer.learning_rate=1e308", "--set", "trainer.eval_every=1",
+             "--set", "eos.trigger_interval=1", "-o", str(tmp_path)]
+        )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("divergence: ") and len(err.strip().splitlines()) == 1
 
 
 def test_argparse_surface(capsys):

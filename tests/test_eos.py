@@ -12,6 +12,7 @@ from evorestore.eos import (
     TriggerSummary,
     WeightPair,
     eos_overhead_report,
+    loss_means,
     project_simplex,
     run_eos,
     sample_simplex,
@@ -160,19 +161,62 @@ def test_validate_does_not_depend_on_the_stack_budget(monkeypatch):
 
     cases = [(grid_model, pairs_of(grid_shapes)), (shape_free, pairs_of(mixed_shapes))]
     default = [validate(p, pairs) for p, pairs in cases]
+    search = EosConfig(population=5, generations=3, elites=2, mutation_sigma=0.3, seed=4)
     sizes = []
+
+    def assert_search_reads_the_table(p, pairs, table):
+        # the two-mean pass and a search on it are the table's means, bit for bit
+        assert loss_means(p, pairs) == table.loss_means()
+        got = run_eos(p, pairs, search, [WeightPair(0.6, 0.4)])[1].records
+        assert got == search_weights(*table.loss_means(), search, [WeightPair(0.6, 0.4)])[1].records
 
     def one_grid_stacks(degraded, clean):
         for x, target in util.stacks(degraded, clean, pixels=1):
             sizes.append(x.shape[0])
             yield x, target
 
+    for (p, pairs), table in zip(cases, default):
+        assert_search_reads_the_table(p, pairs, table)
     monkeypatch.setattr(eos, "stacks", one_grid_stacks)
     for (p, pairs), table in zip(cases, default):
         single = validate(p, pairs)
         for col in ("psnr", "ssim", "fid", "perc"):
             assert getattr(table, col).tobytes() == getattr(single, col).tobytes(), col
-    assert sizes == [1] * (len(grid_shapes) + len(mixed_shapes))
+        assert_search_reads_the_table(p, pairs, table)
+    assert sizes == [1] * 3 * (len(grid_shapes) + len(mixed_shapes))
+
+
+def test_search_pass_forms_no_psnr_ssim_or_gradient(monkeypatch):
+    from evorestore import eos, losses
+
+    def forbidden(*args):
+        raise AssertionError("the search pass formed a column it does not read")
+
+    params, pairs = identity_model(), rigged_pairs("structural") + rigged_pairs("offset")
+    table = validate(params, pairs)
+    for module, name in ((eos, "psnr"), (eos, "ssim_and_ms_ssim"),
+                         (losses, "_ssim_scale_backward")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert loss_means(params, pairs) == table.loss_means()
+    run_eos(params, pairs, EosConfig(seed=3))
+
+
+@pytest.mark.parametrize(
+    "size,n_pairs,modes,search_bound,validate_bound",
+    [(48, 12, (fmm.MASK_RADIAL_BINS, fmm.SPATIAL_GAP_AFFINE), 9.0, 10.5),
+     (128, 2, (fmm.MASK_PER_FREQUENCY, fmm.SPATIAL_PER_PIXEL), 10.5, 10.5)],
+)
+def test_search_and_validation_peak_memory(
+    size, n_pairs, modes, search_bound, validate_bound, peak_arrays
+):
+    # one stack per pass; before: 12.3 (48 px) and 13.8 (128 px) stack-sized arrays
+    rng = np.random.default_rng(8)
+    params = fmm.default_params(size, size, mask_mode=modes[0], spatial_mode=modes[1])
+    pairs = [(rng.uniform(0, 1, (size, size)), rng.uniform(0, 1, (size, size)))
+             for _ in range(n_pairs)]
+    stack = (n_pairs, size, size)
+    assert peak_arrays(lambda: run_eos(params, pairs, EosConfig()), stack) <= search_bound
+    assert peak_arrays(lambda: validate(params, pairs), stack) <= validate_bound
 
 
 def test_fitness_decouples_at_vertices():

@@ -1,5 +1,7 @@
 """Forward/backward behavior of the frequency-gated restoration operator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -165,9 +167,9 @@ ALL_MODES = [
 CUTS = (0, 2, 3, 5)  # a batch of five grids as stacks of 2, 1 and 2
 
 
-def _summed_over_stacks(xs, targets, p):
+def _summed_over_stacks(xs, targets, p, train=fmm.BLOCKS):
     """GradSums over the batch cut at CUTS, for the loss sum of 0.5 * |y - target|^2."""
-    prep = fmm.prepare(p, *xs.shape[-2:])
+    prep = fmm.prepare(p, *xs.shape[-2:], train=train)
     sums = fmm.GradSums(p, prep)
     for a, b in zip(CUTS, CUTS[1:]):
         acts = fmm.fmm_forward(xs[a:b], p, prep)
@@ -189,6 +191,28 @@ def test_sums_over_stacks_match_one_stack(mask_mode, spatial_mode):
         got, want = getattr(cut, name), getattr(whole, name)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
+@pytest.mark.parametrize("mask_mode,spatial_mode", ALL_MODES)
+def test_sums_form_only_the_trained_blocks(mask_mode, spatial_mode):
+    rng = np.random.default_rng(23)
+    h, w = 20, 18
+    xs = rng.uniform(0.1, 0.9, (5, h, w))
+    targets = rng.uniform(0.1, 0.9, (5, h, w))
+    p = _random_params(rng, h, w, mask_mode, spatial_mode)
+    every = _summed_over_stacks(xs, targets, p)
+    names = ("lowpass", "spectral_logits", "spatial_logits")
+    for k in range(len(fmm.BLOCKS) + 1):
+        for train in itertools.combinations(fmm.BLOCKS, k):
+            got = _summed_over_stacks(xs, targets, p, train)
+            for block, name in zip(fmm.BLOCKS, names):
+                g = getattr(got, name)
+                if block in train:
+                    assert g.tobytes() == getattr(every, name).tobytes(), (train, name)
+                else:
+                    assert g is None, (train, name)
+    with pytest.raises(ConfigError):
+        fmm.prepare(p, h, w, train=("lowpass", "bias"))
 
 
 @pytest.mark.parametrize("mask_mode,spatial_mode", PAIRS)

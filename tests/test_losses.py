@@ -12,6 +12,7 @@ from evorestore.losses import (
     _wfilt,
     _window,
     charbonnier,
+    charbonnier_value,
     combined_loss,
     ms_ssim,
     ms_ssim_value,
@@ -254,12 +255,14 @@ def test_stack_matches_per_image(h, w):
     ms, g_ms = ms_ssim(x, y)
     ss, ms_too = ssim_and_ms_ssim(x, y)
     assert fid.shape == ms.shape == ss.shape == (3,)
+    assert np.array_equal(charbonnier_value(x, y), fid)
     assert np.array_equal(ms_value := ms_ssim_value(x, y), ms) and np.array_equal(ms_too, ms)
     for n in range(3):
         f, gf = charbonnier(x[n], y[n])
         m, gm = ms_ssim(x[n], y[n])
         assert isinstance(f, float) and isinstance(m, float)
         assert abs(fid[n] - f) <= 1e-12 and abs(ms_value[n] - m) <= 1e-12
+        assert charbonnier_value(x[n], y[n]) == f
         assert abs(ss[n] - ssim_and_ms_ssim(x[n], y[n])[0]) <= 1e-12
         assert np.max(np.abs(g_fid[n] - gf)) <= 1e-12
         assert np.max(np.abs(g_ms[n] - gm)) <= 1e-12
@@ -365,7 +368,7 @@ def _ref_wfilt(x, win):
     return losses._wfilt(x.copy(), win)
 
 
-def _ref_ssim_parts(x, y, win, with_luminance, c1=0.01**2, c2=0.03**2):
+def _ref_ssim_parts(x, y, win, with_luminance, for_backward, c1=0.01**2, c2=0.03**2):
     mx, my, ess, exy = _ref_wfilt(np.stack([x, y, x * x + y * y, x * y]), win)
     sxy = exy - mx * my
     q = ess - mx * mx - my * my + c2
@@ -417,3 +420,15 @@ def test_in_place_maps_equal_the_out_of_place_reference_exactly(size, monkeypatc
     ref_grad = 0.8 * _ref_charbonnier_grad(x, y) - 0.2 * ref_g_ms
     assert np.array_equal(grad, ref_grad)
     assert np.array_equal(lv.perceptual, 1.0 - ref_ms)
+
+
+@pytest.mark.parametrize("size,grids,bound", [(48, 3, 5.5), (128, 2, 6.5)])
+def test_value_paths_hold_one_scale_at_a_time(size, grids, bound, peak_arrays):
+    # the value path lets go of each scale's maps once it has their means, and
+    # builds the SSIM luminance in buffers the scale holds: 9.0 stacks before
+    rng = np.random.default_rng(size)
+    x = rng.uniform(0, 1, (grids, size, size))
+    y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
+    assert peak_arrays(lambda: ssim_and_ms_ssim(x, y), x.shape) <= bound
+    assert peak_arrays(lambda: ms_ssim_value(x, y), x.shape) <= bound
+    assert peak_arrays(lambda: charbonnier_value(x, y), x.shape) <= 1.1

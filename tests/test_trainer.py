@@ -108,6 +108,39 @@ def test_freeze_blocks_parameter_group():
     assert not np.array_equal(params.spectral_logits, fresh.spectral_logits)
 
 
+@pytest.mark.parametrize("mask_mode", ["per_frequency", "radial_bins"])
+@pytest.mark.parametrize("spatial_mode", ["per_pixel", "gap_affine"])
+def test_frozen_blocks_skip_their_terms_and_train_the_same_bytes(
+    monkeypatch, mask_mode, spatial_mode
+):
+    finished = []
+
+    class RecordingSums(fmm.GradSums):
+        def finish(self):
+            finished.append(super().finish())
+            return finished[-1]
+
+    def every_block(p, h, w, train):  # the reference: every term formed, the frozen dropped
+        return fmm.prepare(p, h, w)
+
+    monkeypatch.setattr(trainer, "GradSums", RecordingSums)
+    ds = small_dataset()
+    for freeze in (("lowpass",), ("spectral", "spatial"), ("lowpass", "spatial")):
+        cfg = small_config(iterations=4, eval_every=2, mask_mode=mask_mode,
+                           spatial_mode=spatial_mode, freeze=freeze,
+                           eos=EosConfig(4, 2, 1, 0.3, 3, 0))
+        runs = []
+        for prepare, skipped in ((fmm.prepare, set(freeze)), (every_block, set())):
+            monkeypatch.setattr(trainer, "prepare", prepare)
+            params, trace = train(ds, cfg)
+            runs.append((fmm.params_to_bytes(params), trace.rows, trace.evals,
+                         trace.weight_timeline))
+            g = finished[-1]
+            blocks = zip(fmm.BLOCKS, (g.lowpass, g.spectral_logits, g.spatial_logits))
+            assert {name for name, grad in blocks if grad is None} == skipped
+        assert runs[0] == runs[1], freeze
+
+
 def test_divergence_guard():
     ds = small_dataset()
     cfg = small_config(learning_rate=1e9, iterations=200)
@@ -166,18 +199,21 @@ def test_non_finite_config_value_is_a_config_error(cls, name, value):
 def test_one_validation_pass_per_eval_or_trigger_iteration(monkeypatch):
     calls = []
 
-    def counting_validate(*args, **kwargs):
-        calls.append(1)
-        return validate(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    # eos.validate too, so a search that ran its own pass would be counted
-    monkeypatch.setattr(trainer, "validate", counting_validate)
-    monkeypatch.setattr(eos, "validate", counting_validate)
+    # eos's names too, so a search that ran its own pass would be counted
+    for module in (trainer, eos):
+        monkeypatch.setattr(module, "validate", counting("validate", validate))
+        monkeypatch.setattr(module, "loss_means", counting("loss_means", eos.loss_means))
     ds = small_dataset()
     search = EosConfig(4, 2, 1, 0.3, 5, 0)
     # evals at 5, 10, 15, 20; triggers at 5, 10, 15 read the same passes
     params, trace = train(ds, small_config(iterations=20, eval_every=5, eos=search))
-    assert len(calls) == 4
+    assert calls == ["validate"] * 4
     assert len(trace.evals) == 4 and len(trace.eos_traces) == 3
     for point, t in zip(trace.evals, trace.eos_traces):
         for r in t.records:
@@ -185,7 +221,7 @@ def test_one_validation_pass_per_eval_or_trigger_iteration(monkeypatch):
         assert 0.0 < t.eval_ms <= t.total_ms
     calls.clear()
     alone, alone_trace = train(ds, small_config(iterations=20, eval_every=0, eos=search))
-    assert len(calls) == 3
+    assert calls == ["loss_means"] * 3  # a trigger without an eval point reads two means
     # sharing the pass with the evals changes nothing about the training
     assert fmm.params_to_bytes(alone) == fmm.params_to_bytes(params)
     assert alone_trace.weight_timeline == trace.weight_timeline
