@@ -12,6 +12,8 @@ import os
 import sys
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from . import __version__
 from .config import documented_keys, load_config
 from .degrade import (
@@ -34,8 +36,6 @@ from .losses import WeightPair
 from .trainer import EvalPoint, IterationRow, MetricsRow, RunSummary, evaluate, train
 from .util import read_records, write_records
 
-OUT_ENV = "EVORESTORE_OUT"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,12 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def output(p):
-        p.add_argument(
-            "-o",
-            "--out",
-            default=os.environ.get(OUT_ENV, "."),
-            help=f"output directory (default: ${OUT_ENV} or cwd)",
-        )
+        p.add_argument("-o", "--out", default=".", help="output directory (default: cwd)")
 
     def common(p):
         p.add_argument("--config", help="key = value config file")
@@ -322,7 +317,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a run that overflows reports itself once, by its error and exit code,
+        # not by numpy's overflow and invalid-value warnings before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -95,10 +95,9 @@ class EosConfig:
             raise ConfigError(
                 f"elites must be in 1..population({self.population}), got {self.elites}"
             )
-        if not 0 <= self.mutation_sigma < np.inf:
-            raise ConfigError(
-                f"mutation_sigma must be finite and >= 0, got {self.mutation_sigma}"
-            )
+        # a Gaussian draw of a larger sigma can overflow the crossover sum to inf
+        if not 0 <= self.mutation_sigma <= 1e300:
+            raise ConfigError(f"mutation_sigma must be in [0, 1e300], got {self.mutation_sigma}")
         if self.trigger_interval < 1:
             raise ConfigError(
                 f"trigger_interval must be >= 1, got {self.trigger_interval}"
@@ -172,18 +171,19 @@ class ValidationTable:
 
         The one PSNR averaging policy: +inf entries (exact restorations) are
         left out of the mean and counted as `capped`; if every entry is +inf
-        the mean reads PSNR_CAP_DB.
+        the mean reads PSNR_CAP_DB. A NaN or -inf PSNR (an overflowed error)
+        or a non-finite SSIM, fid or perc mean raises NumericIntegrityError.
         """
         psnr_sel = self.psnr[sel]
+        means = [float(np.mean(c[sel])) for c in (self.ssim, self.fid, self.perc)]
+        if not (np.all(psnr_sel > -np.inf) and np.all(np.isfinite(means))):  # NaN compares False
+            raise NumericIntegrityError(
+                f"non-finite restoration metrics: psnr min {np.min(psnr_sel)}, "
+                f"ssim, fid, perc means {means}"
+            )
         finite = psnr_sel[np.isfinite(psnr_sel)]
-        return (
-            int(psnr_sel.size),
-            int(psnr_sel.size - finite.size),
-            float(np.mean(finite)) if finite.size else PSNR_CAP_DB,
-            float(np.mean(self.ssim[sel])),
-            float(np.mean(self.fid[sel])),
-            float(np.mean(self.perc[sel])),
-        )
+        psnr_mean = float(np.mean(finite)) if finite.size else PSNR_CAP_DB
+        return (psnr_sel.size, psnr_sel.size - finite.size, psnr_mean, *means)
 
 
 def _restorations(params: FmmParams, pairs):
@@ -284,6 +284,8 @@ def search_weights(
     for c in init:
         if not (np.isfinite(c.alpha) and np.isfinite(c.beta)):
             raise NumericIntegrityError(f"non-finite init candidate {c}")
+    if not (np.isfinite(mean_fid) and np.isfinite(mean_perc)):
+        raise NumericIntegrityError(f"non-finite validation means ({mean_fid}, {mean_perc})")
 
     t_total = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)

@@ -20,9 +20,7 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """Training loss exploded past the divergence guard."""
 
-    def __init__(self, iteration: int, loss: float):
+    def __init__(self, iteration: int, loss: float, what: str = "combined loss"):
         self.iteration = iteration
         self.loss = loss
-        super().__init__(
-            f"training diverged at iteration {iteration}: combined loss {loss:.6g}"
-        )
+        super().__init__(f"training diverged at iteration {iteration}: {what} {loss:.6g}")

@@ -60,7 +60,7 @@ MASK_RADIAL_BINS = "radial_bins"
 SPATIAL_PER_PIXEL = "per_pixel"
 SPATIAL_GAP_AFFINE = "gap_affine"
 
-# The parameter blocks, by the names `prepare(train=...)` and `apply_update(freeze=...)` take.
+# The parameter blocks, by the names `prepare(train=...)` takes.
 BLOCKS = ("lowpass", "spectral", "spatial")
 
 
@@ -115,11 +115,11 @@ class FmmParams:
 
 @dataclass
 class FmmGrads:
-    """Gradients matching FmmParams block shapes."""
+    """Gradients matching FmmParams block shapes; None for a block not trained."""
 
-    lowpass: np.ndarray
-    spectral_logits: np.ndarray
-    spatial_logits: np.ndarray
+    lowpass: np.ndarray | None
+    spectral_logits: np.ndarray | None
+    spatial_logits: np.ndarray | None
 
 
 @dataclass
@@ -487,15 +487,13 @@ def _mirror_half_spectrum(half: np.ndarray, w: int) -> np.ndarray:
     return full
 
 
-def apply_update(p: FmmParams, g: FmmGrads, lr: float, *, freeze=()) -> FmmParams:
-    """Plain gradient-descent step; `freeze` names parameter blocks to skip."""
+def apply_update(p: FmmParams, g: FmmGrads, lr: float) -> FmmParams:
+    """Plain gradient-descent step on every block whose gradient is not None."""
     q = p.copy()
-    if "lowpass" not in freeze:
-        q.lowpass -= lr * g.lowpass
-    if "spectral" not in freeze:
-        q.spectral_logits -= lr * g.spectral_logits
-    if "spatial" not in freeze:
-        q.spatial_logits -= lr * g.spatial_logits
+    for name in ("lowpass", "spectral_logits", "spatial_logits"):
+        grad = getattr(g, name)
+        if grad is not None:
+            getattr(q, name)[...] -= lr * grad
     return q
 
 

@@ -58,8 +58,6 @@ class LossValue:
     fidelity: float | np.ndarray
     perceptual: float | np.ndarray
     combined: float | np.ndarray
-    alpha: float
-    beta: float
 
 
 def _pair(pred, target):
@@ -433,4 +431,4 @@ def combined_loss(
         g_fid *= a
         grad = np.subtract(g_fid, np.multiply(g_ms, b, out=g_ms), out=g_fid)  # a g_fid - b g_ms
     combined = a * fid + b * perc
-    return LossValue(fid, perc, combined, a, b), grad
+    return LossValue(fid, perc, combined), grad

@@ -389,7 +389,7 @@ def wiener_recovery(
         for x, target in batches:
             acts = fmm.fmm_forward(x, p, sums.prep)
             sums.add(acts, charbonnier(acts.y_hat, target)[1])
-        p.spectral_logits -= (lr / n_train) * sums.finish().spectral_logits
+        p = fmm.apply_update(p, sums.finish(), lr / n_train)
 
     learned = fmm.spectral_mask(p, height, width)
     target = wiener_mask_oracle(clean, sigma)

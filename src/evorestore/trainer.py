@@ -11,10 +11,12 @@ Schedule semantics (all 1-based iteration indices):
 * an iteration that evaluates, searches or both runs one validation pass,
   and the eval point and the search both read it; an iteration that only
   searches runs the two-mean pass (eos.loss_means);
-* a combined batch loss above `divergence_limit` aborts with DivergenceError
-  naming the iteration. Training runs with numpy's overflow and invalid
-  warnings off, so a diverging run reports itself once, by that error;
-* the backward pass forms no gradient term of a block in `freeze`.
+* a combined batch loss above `divergence_limit`, or a non-finite validation
+  loss mean, aborts with DivergenceError naming the iteration. numpy's
+  overflow and invalid warnings are left to the caller's np.errstate (the CLI
+  turns them off, so a diverging run reports itself once, by that error);
+* `freeze` names the blocks `prepare(train=...)` leaves out of each step: their
+  gradient terms are never formed and apply_update leaves them as they are.
 
 Each batch runs through the operator, the losses and the backward pass as
 stacks of pairs (see util.stacks), and the validation pass is eos.validate.
@@ -150,9 +152,6 @@ def _dataset_shape(dataset: PairedDataset):
     return next(iter(shapes))
 
 
-# DivergenceError is the one report of a run that overflows; numpy's own
-# warnings would reach stderr first, several per iteration.
-@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: PairedDataset, cfg: TrainConfig):
     """Run the loop from default_params; returns (trained FmmParams, TrainTrace)."""
     cfg.validate()
@@ -196,7 +195,7 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
         fid_m, perc_m, comb_m = (float(v) / nb for v in loss_sums)
         if not math.isfinite(comb_m) or comb_m > DIVERGENCE_LIMIT:
             raise DivergenceError(it, comb_m)
-        params = apply_update(params, sums.finish(), lr / nb, freeze=cfg.freeze)
+        params = apply_update(params, sums.finish(), lr / nb)
 
         trace.rows.append(
             IterationRow(it, fid_m, perc_m, comb_m, active.alpha, active.beta, lr)
@@ -214,6 +213,9 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
             else:
                 means = loss_means(params, val_set, cfg.charbonnier_eps)
             eval_ms = (time.perf_counter() - t0) * 1e3
+            for name, mean in zip(("fidelity", "perceptual"), means):
+                if not math.isfinite(mean):
+                    raise DivergenceError(it, mean, f"validation {name} mean")
             if do_eval:
                 _count, _capped, *cols = table.summary(slice(None))
                 trace.evals.append(EvalPoint(it, *cols))

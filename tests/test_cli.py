@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from evorestore import cli, oracles
+from evorestore import cli, fmm, oracles
 from evorestore.config import (
     DatasetConfig,
     documented_keys,
@@ -592,6 +592,48 @@ def test_divergence_is_the_only_report(run_dirs, tmp_path, capsys):
     assert rc == 3
     assert [str(w.message) for w in caught] == []
     assert err.startswith("divergence: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def overflow_checkpoint(run_dirs, tmp_path_factory):
+    """The trained checkpoint with low-pass taps of 1e300: its restorations overflow."""
+    _, out = run_dirs
+    params = fmm.load_params(str(out / "final.fmmp"))
+    params.lowpass[...] = 1e300
+    path = tmp_path_factory.mktemp("overflow") / "overflow.fmmp"
+    fmm.save_params(str(path), params)
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "eos-trace"])
+def test_non_finite_restorations_are_the_only_report(
+    run_dirs, overflow_checkpoint, tmp_path, capsys, command
+):
+    # before: eval exited 0 with PSNR 99.000 (the -inf PSNRs counted as capped),
+    # SSIM nan and fid inf, after six numpy RuntimeWarnings; eos-trace exited 0
+    # with best fitness nan and a winner ranked on it
+    data, _ = run_dirs
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--manifest", str(data / "manifest.txt"),
+                       "--checkpoint", str(overflow_checkpoint), "-o", str(tmp_path)])
+    assert [str(w.message) for w in caught] == []
+    _assert_exit_5(rc, capsys, "non-finite")
+
+
+def test_mutation_sigma_that_can_overflow_is_a_config_error(run_dirs, tmp_path, capsys):
+    # before: exit 5, "cannot project non-finite pair (inf, ...)", a config value
+    # reported as corrupt input
+    data, _ = run_dirs
+    capsys.readouterr()
+    rc = cli.main(["train", "--manifest", str(data / "manifest.txt"), *TINY_TRAIN,
+                   "--set", "eos.mutation_sigma=1e308", "--set", "eos.trigger_interval=1",
+                   "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "mutation_sigma" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_argparse_surface(capsys):

@@ -1,15 +1,18 @@
 """Weight-search engine: projection, fitness, selection, and bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from evorestore import fmm
+from evorestore.degrade import PSNR_CAP_DB
 from evorestore.eos import (
     CandidateRecord,
     EosConfig,
     TriggerSummary,
+    ValidationTable,
     WeightPair,
     eos_overhead_report,
     loss_means,
@@ -356,6 +359,51 @@ def test_config_validation():
         EosConfig(mutation_sigma=-0.1).validate()
     with pytest.raises(ConfigError):
         EosConfig(generations=0).validate()
+
+
+@pytest.mark.parametrize("sigma", [1e301, 1e308, math.inf, math.nan])
+def test_mutation_sigma_that_can_overflow_the_crossover_is_a_config_error(sigma):
+    # before: 1e308 passed, and a draw sent the crossover sum to inf, reported
+    # by project_simplex as corrupt input
+    with pytest.raises(ConfigError, match="mutation_sigma"):
+        EosConfig(mutation_sigma=sigma).validate()
+
+
+def test_largest_mutation_sigma_searches_on_the_simplex():
+    cfg = EosConfig(population=6, generations=4, elites=2, mutation_sigma=1e300, seed=0)
+    for seed in range(4):
+        winner, trace = search_weights(0.3, 0.1, replace(cfg, seed=seed), [WeightPair(0.8, 0.2)])
+        assert all(r.alpha + r.beta == 1.0 and math.isfinite(r.fitness) for r in trace.records)
+        assert winner == WeightPair(0.0, 1.0)  # the perceptual mean is the lower
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_search_rejects_non_finite_means(mean):
+    # before: a NaN fitness sorted arbitrarily and the search named a winner
+    for means in ((mean, 0.1), (0.1, mean)):
+        with pytest.raises(NumericIntegrityError, match="non-finite validation means"):
+            search_weights(*means, EosConfig(), [WeightPair(0.8, 0.2)])
+
+
+def test_summary_caps_only_exact_restorations():
+    ones = np.ones(3)
+    t = ValidationTable(np.array([20.0, math.inf, 30.0]), ones, ones, ones)
+    assert t.summary(slice(None)) == (3, 1, 25.0, 1.0, 1.0, 1.0)
+    assert t.summary(np.array([False, True, False]))[:3] == (1, 1, PSNR_CAP_DB)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("psnr", math.nan), ("psnr", -math.inf), ("ssim", math.nan), ("ssim", math.inf),
+    ("fid", math.inf), ("fid", math.nan), ("perc", -math.inf), ("perc", math.nan),
+])
+def test_summary_rejects_non_finite_metrics(column, value):
+    # before: a -inf or NaN PSNR counted as capped, and NaN means were reported
+    cols = {name: np.array([20.0, 30.0]) for name in ("psnr", "ssim", "fid", "perc")}
+    cols[column][1] = value
+    t = ValidationTable(**cols)
+    with pytest.raises(NumericIntegrityError, match="non-finite restoration metrics"):
+        t.summary(slice(None))
+    assert t.summary(np.array([True, False]))[2] == 20.0
 
 
 def test_trace_csv_schema(tmp_path):

@@ -512,20 +512,33 @@ def test_lowpass_grad_matches_finite_differences(mask_mode, spatial_mode, size, 
         assert abs(fd - g[idx]) < 1e-5 * max(1.0, abs(fd))
 
 
-def test_apply_update_and_freeze():
+def test_apply_update_leaves_a_none_block_untouched():
     p = fmm.default_params(8, 8, spatial_mode=fmm.SPATIAL_GAP_AFFINE)
-    g = fmm.FmmGrads(
-        np.ones_like(p.lowpass), np.ones_like(p.spectral_logits), np.ones_like(p.spatial_logits)
-    )
+    ones = [np.ones_like(b) for b in (p.lowpass, p.spectral_logits, p.spatial_logits)]
     before = p.lowpass.copy()
-    q = fmm.apply_update(p, g, 0.5, freeze=("lowpass",))
-    assert np.array_equal(q.lowpass, before)
+    q = fmm.apply_update(p, fmm.FmmGrads(None, *ones[1:]), 0.5)
+    assert np.array_equal(q.lowpass, before) and q.lowpass is not p.lowpass
     assert np.all(q.spectral_logits == -0.5)
     assert np.all(q.spatial_logits == -0.5)
     # the input is left untouched (the step is functional, not in-place)
     assert np.all(p.spectral_logits == 0.0)
-    r = fmm.apply_update(p, g, 0.5)
+    r = fmm.apply_update(p, fmm.FmmGrads(*ones), 0.5)
     assert np.all(r.lowpass == before - 0.5)
+    s = fmm.apply_update(p, fmm.FmmGrads(None, None, None), 0.5)
+    assert fmm.params_to_bytes(s) == fmm.params_to_bytes(p)
+
+
+def test_wiener_recovery_report_is_the_in_place_step_bits(monkeypatch):
+    # A3 steps through apply_update, a copy; its report keeps the bits of the in-place step
+    args = dict(height=16, width=16, n_train=8, iterations=40, lr=40.0)
+    report = oracles.wiener_recovery(**args)
+
+    def in_place(p, g, lr):
+        p.spectral_logits -= lr * g.spectral_logits
+        return p
+
+    monkeypatch.setattr(fmm, "apply_update", in_place)
+    assert oracles.wiener_recovery(**args) == report
 
 
 def test_params_bytes_round_trip_exact():

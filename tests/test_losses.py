@@ -330,7 +330,6 @@ def test_combined_loss_is_exact_affine_mix():
     ms, g_ms = ms_ssim(pred, target)
     assert lv.fidelity == fid
     assert lv.perceptual == 1.0 - ms
-    assert lv.alpha == 0.8 and lv.beta == 0.2
     assert abs(lv.combined - (0.8 * fid + 0.2 * (1.0 - ms))) < 1e-15
     assert np.max(np.abs(grad - (0.8 * g_fid - 0.2 * g_ms))) == 0.0
 

@@ -113,12 +113,16 @@ def test_freeze_blocks_parameter_group():
 def test_frozen_blocks_skip_their_terms_and_train_the_same_bytes(
     monkeypatch, mask_mode, spatial_mode
 ):
-    finished = []
+    fields = dict(zip(fmm.BLOCKS, ("lowpass", "spectral_logits", "spatial_logits")))
+    formed = []
 
     class RecordingSums(fmm.GradSums):
         def finish(self):
-            finished.append(super().finish())
-            return finished[-1]
+            g = super().finish()
+            formed.append({b for b in fmm.BLOCKS if getattr(g, fields[b]) is not None})
+            for b in dropped:
+                setattr(g, fields[b], None)
+            return g
 
     def every_block(p, h, w, train):  # the reference: every term formed, the frozen dropped
         return fmm.prepare(p, h, w)
@@ -130,14 +134,12 @@ def test_frozen_blocks_skip_their_terms_and_train_the_same_bytes(
                            spatial_mode=spatial_mode, freeze=freeze,
                            eos=EosConfig(4, 2, 1, 0.3, 3, 0))
         runs = []
-        for prepare, skipped in ((fmm.prepare, set(freeze)), (every_block, set())):
+        for prepare, dropped in ((fmm.prepare, set()), (every_block, set(freeze))):
             monkeypatch.setattr(trainer, "prepare", prepare)
             params, trace = train(ds, cfg)
             runs.append((fmm.params_to_bytes(params), trace.rows, trace.evals,
                          trace.weight_timeline))
-            g = finished[-1]
-            blocks = zip(fmm.BLOCKS, (g.lowpass, g.spectral_logits, g.spatial_logits))
-            assert {name for name, grad in blocks if grad is None} == skipped
+            assert formed[-1] == set(fmm.BLOCKS) - set(freeze) | dropped
         assert runs[0] == runs[1], freeze
 
 
@@ -156,6 +158,22 @@ def test_nan_perceptual_value_diverges_at_a_vertex(monkeypatch):
     with pytest.raises(DivergenceError) as exc:
         train(small_dataset(), small_config(init_alpha=1.0, init_beta=0.0))
     assert exc.value.iteration == 1 and math.isnan(exc.value.loss)
+
+
+@pytest.mark.parametrize("name, value, eval_every, trigger, iteration, message", [
+    ("charbonnier_value", np.inf, 3, NO_TRIGGER, 3, "validation fidelity mean inf"),
+    ("charbonnier_value", np.inf, 0, 2, 2, "validation fidelity mean inf"),
+    ("ms_ssim_value", np.nan, 0, 2, 2, "validation perceptual mean nan"),
+])
+def test_non_finite_validation_mean_diverges(
+    monkeypatch, name, value, eval_every, trigger, iteration, message
+):
+    # before: the run went on, and a search ranked the NaN fitness of every candidate
+    monkeypatch.setattr(eos, name, lambda pred, *_: np.full(len(pred), value))
+    eos_cfg = EosConfig(population=4, generations=2, elites=1, trigger_interval=trigger)
+    with pytest.raises(DivergenceError, match=message) as exc:
+        train(small_dataset(), small_config(eval_every=eval_every, eos=eos_cfg))
+    assert exc.value.iteration == iteration
 
 
 def test_lr_halving_schedule():
