@@ -41,6 +41,9 @@ from .grids import (
 )
 from .losses import MsSsimConfig, WeightPair, charbonnier, combined_loss, ms_ssim_value
 from .trainer import TrainConfig, TrainTrace, evaluate, train
+from .util import _keep_freed_heap
+
+_keep_freed_heap()
 
 __all__ = [
     "__version__",

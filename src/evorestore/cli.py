@@ -196,8 +196,11 @@ def _cmd_eos_trace(args) -> int:
     write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, trace.records)
     write_records(os.path.join(args.out, "eos_summary.csv"), TriggerSummary, [trace.summary()])
     print("generation  best_fitness        winner_so_far")
-    for g, best in enumerate(trace.best_per_generation):
-        print(f"{g:>10}  {best:>18.12f}")
+    for g in range(len(trace.best_per_generation)):
+        # the generation's leading candidate: highest fitness, ties to the lower index
+        rows = [r for r in trace.records if r.generation == g]
+        lead = max(rows, key=lambda r: (r.fitness, -r.candidate))
+        print(f"{g:>10}  {lead.fitness:>18.12f}  {lead.alpha:.6f},{lead.beta:.6f}")
     print(
         f"winner: alpha {winner.alpha:.6f}, beta {winner.beta:.6f} "
         f"({trace.evaluations} evaluations, {trace.total_ms:.1f} ms)"

@@ -17,6 +17,7 @@ Schedule semantics (all 1-based iteration indices):
   turns them off, so a diverging run reports itself once, by that error);
 * `freeze` names the blocks `prepare(train=...)` leaves out of each step: their
   gradient terms are never formed and apply_update leaves them as they are.
+  It names each block at most once and leaves at least one to train.
 
 Each batch runs through the operator, the losses and the backward pass as
 stacks of pairs (see util.stacks), and the validation pass is eos.validate.
@@ -88,6 +89,10 @@ class TrainConfig:
         for name in self.freeze:
             if name not in BLOCKS:
                 raise ConfigError(f"unknown freeze block {name!r}")
+        if len(set(self.freeze)) != len(self.freeze):
+            raise ConfigError(f"freeze names a block twice: {self.freeze}")
+        if set(self.freeze) == set(BLOCKS):
+            raise ConfigError("freeze names every block, so nothing would train")
         self.eos.validate()
 
 

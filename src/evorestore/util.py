@@ -1,10 +1,12 @@
-"""Small shared helpers: stack chunking, sums in grid order and CSV records."""
+"""Small shared helpers: the allocator setting, stacks, sums in grid order, CSV records."""
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import numbers
+import platform
 import re
 from dataclasses import fields
 from typing import Iterable, Sequence
@@ -13,6 +15,32 @@ import numpy as np
 
 from .errors import NumericIntegrityError
 from .grids import as_grid
+
+# glibc's mallopt parameters and the values _keep_freed_heap gives them: 32 MiB
+# is glibc's own ceiling for its dynamic mmap threshold on 64-bit, and its
+# dynamic rule keeps the trim threshold at twice the mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed stack-sized arrays in the heap for the next pass (glibc only; else nothing).
+
+    glibc starts both thresholds at 128 KiB and raises them only as a process
+    frees larger mapped blocks, so until then a pass's temporaries are mapped,
+    or trimmed off the heap's top, and returned to the OS, and the next pass
+    faults the same pages in again. Starting both at the top of their range
+    keeps them in the heap. This is process-wide; an application that wants
+    other values calls mallopt after importing the package.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
 
 # Most pixels one stacked call (operator, losses) holds, in training and in
 # validation; a stack is never fewer than one grid. 32,768 float64 pixels are

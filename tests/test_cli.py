@@ -176,7 +176,7 @@ def test_eval_command(run_dirs, tmp_path):
     assert lines[-1].split(",")[1] == "all"
 
 
-def test_eos_trace_command(run_dirs, tmp_path):
+def test_eos_trace_command(run_dirs, tmp_path, capsys):
     data, out = run_dirs
     rc = cli.main(
         ["eos-trace", "--manifest", str(data / "manifest.txt"),
@@ -187,6 +187,14 @@ def test_eos_trace_command(run_dirs, tmp_path):
     assert rc == 0
     lines = (tmp_path / "eos_trace.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3 * 2
+    # each generation row carries its leading (alpha, beta) under winner_so_far;
+    # the last one is the printed winner (before, the column had no values)
+    printed = capsys.readouterr().out.strip().split("\n")
+    assert printed[0].split() == ["generation", "best_fitness", "winner_so_far"]
+    rows = [line.split() for line in printed[1:-1]]
+    assert [r[0] for r in rows] == ["0", "1"] and all(len(r) == 3 for r in rows)
+    alpha, beta = re.fullmatch(r"winner: alpha (\S+), beta (\S+) \(.*\)", printed[-1]).groups()
+    assert rows[-1][2] == f"{alpha},{beta}"
 
 
 def test_report_command(run_dirs, tmp_path):
@@ -383,6 +391,20 @@ def test_negative_seed_is_a_config_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ") and "seed must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "freeze,message",
+    [("lowpass,lowpass", "twice"), ("spectral,spatial,lowpass", "nothing would train")],
+    ids=["repeated-block", "every-block"],
+)
+def test_freeze_that_trains_nothing_is_a_config_error(freeze, message, tmp_path, capsys):
+    # before: both ran, and freezing every block trained with a constant loss
+    rc = cli.main(["train", "--set", f"trainer.freeze={freeze}", "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and message in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 

@@ -193,6 +193,12 @@ def test_config_validation():
         small_config(init_alpha=0.7, init_beta=0.2).validate()  # off the simplex
     with pytest.raises(ConfigError):
         small_config(freeze=("bias",)).validate()
+    # before, a repeated block was accepted, and freezing every block ran with a constant loss
+    with pytest.raises(ConfigError, match="twice"):
+        small_config(freeze=("lowpass", "lowpass")).validate()
+    with pytest.raises(ConfigError, match="nothing would train"):
+        small_config(freeze=("spatial", "lowpass", "spectral")).validate()
+    small_config(freeze=("spatial", "lowpass")).validate()
     for bad in (dict(kernel_size=4), dict(kernel_size=0), dict(kernel_size=-3), dict(n_bins=1),
                 dict(seed=-1), dict(eos=EosConfig(seed=-1))):
         with pytest.raises(ConfigError):
