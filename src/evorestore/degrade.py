@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .grids import (
     read_fgrid,
     write_fgrid,
 )
-from .util import read_records, write_records
+from .util import STACK_PIXELS, read_records, stacks, write_records
 
 # kind -> the DegradationSpec fields it reads; every other field keeps its default
 KIND_FIELDS = {
@@ -78,8 +78,11 @@ class DegradationSpec:
             raise ConfigError(f"{self.kind} seed must be >= 0, got {self.seed}")
         if self.kind == "noise" and not self.sigma > 0:
             raise ConfigError(f"noise sigma must be > 0, got {self.sigma}")
-        if self.kind == "blur" and not self.kernel_sigma > 0:
-            raise ConfigError(f"blur kernel_sigma must be > 0, got {self.kernel_sigma}")
+        if self.kind == "blur":
+            # gaussian_kernel divides by 2σ²: 0 gives NaN taps, and inf has no kernel size
+            sigma = self.kernel_sigma
+            if not (sigma > 0 and 0.0 < 2.0 * sigma * sigma < math.inf):
+                raise ConfigError(f"blur kernel_sigma must be > 0, 2σ² finite and > 0, got {sigma}")
         if self.kind == "haze":
             if not 0.0 <= self.t0 <= 1.0:
                 raise ConfigError(f"haze t0 must be in [0,1], got {self.t0}")
@@ -105,39 +108,59 @@ def _blur_kernel_for(sigma: float, h: int, w: int) -> np.ndarray:
     return gaussian_kernel(min(size, largest), sigma)
 
 
-def apply_degradation(clean, spec: DegradationSpec) -> np.ndarray:
-    """Degrade a clean [0,1] grid; deterministic in spec.seed, result clamped."""
-    clean = as_grid(clean)
+def _check_clean(clean: np.ndarray) -> None:
     if not (clean.min() >= 0.0 and clean.max() <= 1.0):  # NaN fails both
         raise NumericIntegrityError(
             f"clean image must lie in [0,1], got [{clean.min():.4g}, {clean.max():.4g}]"
         )
+
+
+def apply_degradation(clean, spec: DegradationSpec) -> np.ndarray:
+    """Degrade a clean [0,1] grid; deterministic in spec.seed, result clamped."""
+    clean = as_grid(clean)
+    _check_clean(clean)
     spec.validate()
-    rng = np.random.default_rng(spec.seed)
+    return _degrade(clean[None], spec, [spec.seed])[0]
+
+
+def _degrade(clean: np.ndarray, spec: DegradationSpec, seeds) -> np.ndarray:
+    """Degrade grid n of a checked (N, H, W) stack by a valid spec with seed seeds[n].
+
+    Each grid gets the bytes it gets alone. Rain adds its streak samples at
+    most STACK_PIXELS at a time, so its memory does not grow with its count.
+    """
+    h, w = clean.shape[1:]
     if spec.kind == "noise":
-        out = clean + rng.normal(0.0, spec.sigma, size=clean.shape)
+        out = np.stack([np.random.default_rng(s).normal(0.0, spec.sigma, (h, w)) for s in seeds])
+        out += clean  # noise + clean: the bits of clean + noise
     elif spec.kind == "blur":
-        out = conv2_periodic(clean, _blur_kernel_for(spec.kernel_sigma, *clean.shape))
+        out = conv2_periodic(clean, _blur_kernel_for(spec.kernel_sigma, h, w))
     elif spec.kind == "haze":
         out = spec.t0 * clean + (1.0 - spec.t0) * spec.airlight
     elif spec.kind == "lowlight":
         out = spec.scale * np.power(clean, spec.gamma)
     else:  # rain
         out = clean.copy()
-        h, w = clean.shape
         theta = math.radians(spec.angle_deg)
         length = max(3, int(0.25 * min(h, w)))
-        for _ in range(spec.count):
-            ci = rng.uniform(0, h)
-            cj = rng.uniform(0, w)
-            jitter = math.radians(rng.normal(0.0, 2.0))
-            di = math.cos(theta + jitter)
-            dj = math.sin(theta + jitter)
-            for s in range(-length // 2, length // 2 + 1):
-                ii = int(round(ci + s * di)) % h
-                jj = int(round(cj + s * dj)) % w
-                out[ii, jj] += spec.intensity
-    return np.clip(out, 0.0, 1.0)
+        steps = np.arange(-length // 2, length // 2 + 1, dtype=np.float64)
+        block = max(1, STACK_PIXELS // steps.size)  # streaks per np.add.at call
+        for grid, seed in zip(out, seeds):
+            rng = np.random.default_rng(seed)
+            for first in range(0, spec.count, block):
+                drawn = [_streak(rng, h, w, theta) for _ in range(min(block, spec.count - first))]
+                ci, cj, di, dj = np.array(drawn).T[..., None]
+                ii = np.rint(ci + steps * di).astype(np.intp) % h  # rint rounds as round()
+                jj = np.rint(cj + steps * dj).astype(np.intp) % w
+                np.add.at(grid.reshape(-1), (ii * w + jj).ravel(), spec.intensity)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _streak(rng, h: int, w: int, theta: float) -> tuple:
+    """One rain streak's centre (row, column) and unit direction, from three scalar draws."""
+    ci, cj = h * rng.random(), w * rng.random()
+    angle = theta + math.radians(2.0 * rng.standard_normal())
+    return ci, cj, math.cos(angle), math.sin(angle)
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +188,35 @@ def psnr(pred, target):
 # ---------------------------------------------------------------------------
 
 
+# (u, v, amplitude divisor 1 + r^2) of a synthetic image's Fourier terms, 0 < r = hypot(u, v) <= 5
+_TERMS = [
+    (u, v, 1.0 + r * r) for u in range(-5, 6) for v in range(-5, 6)
+    if 0.0 < (r := math.hypot(u, v)) <= 5.0
+]
+
+
 def synthetic_clean_images(n: int, height: int, width: int, seed: int = 0) -> list:
     """Deterministic clean test images: smooth random fields with geometry mixed in."""
     if n < 1:
         raise ConfigError(f"need n >= 1 images, got {n}")
+    if height < 3 or width < 3:
+        raise ConfigError(f"synthetic images need height and width >= 3, got {height}x{width}")
     if seed < 0:
         raise ConfigError(f"image seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     ii = np.arange(height)[:, None] / height
     jj = np.arange(width)[None, :] / width
+    # a term's cell is (u % height, v % width); a later term in a shared cell replaces an earlier
+    cells = {(u % height, v % width): t for t, (u, v, _) in enumerate(_TERMS)}
+    (rows, cols), kept = np.array(list(cells)).T, list(cells.values())
+    divisors = np.array(_TERMS)[kept, 2]
     images = []
-    for idx in range(n):
-        # smooth random field via low-frequency Fourier synthesis
+    for _ in range(n):
+        # smooth random field via low-frequency Fourier synthesis, two draws per term
+        draws = np.array([(rng.standard_normal(), 2 * math.pi * rng.random()) for _ in _TERMS])
+        amp, phase = draws[kept].T
         spec = np.zeros((height, width), dtype=np.complex128)
-        kmax = 5
-        for u in range(-kmax, kmax + 1):
-            for v in range(-kmax, kmax + 1):
-                if u == 0 and v == 0:
-                    continue
-                r = math.hypot(u, v)
-                if r > kmax:
-                    continue
-                amp = rng.normal() / (1.0 + r * r)
-                phase = rng.uniform(0, 2 * math.pi)
-                spec[u % height, v % width] = amp * np.exp(1j * phase)
+        spec[rows, cols] = amp / divisors * np.exp(1j * phase)
         spec = 0.5 * (spec + np.conj(hermitian_flip(spec)))
         base = np.fft.ifft2(spec, norm="ortho").real
 
@@ -357,6 +385,8 @@ def build_dataset(source_images, specs, split: SplitConfig) -> PairedDataset:
 
     The per-pair seed is spec.seed + image index, so two pairs of the same
     kind never share a noise realization yet everything stays reproducible.
+    Consecutive same-shape images are degraded a util.stacks stack at a time,
+    each pair to the bytes apply_degradation gives it.
     """
     source_images = [as_grid(im) for im in source_images]
     specs = list(specs)
@@ -365,20 +395,18 @@ def build_dataset(source_images, specs, split: SplitConfig) -> PairedDataset:
     if not specs:
         raise ConfigError("no degradation specs supplied")
     split.validate()
-    rows = []
     for spec in specs:
         spec.validate()
-        for i, img in enumerate(source_images):
-            per_pair = replace(spec, seed=spec.seed + i)
-            rows.append(
-                PairRow(
-                    index=len(rows),
-                    kind=spec.kind,
-                    seed=per_pair.seed,
-                    clean=img,
-                    degraded=apply_degradation(img, per_pair),
-                )
-            )
+    for img in source_images:
+        _check_clean(img)
+    rows = []
+    for spec in specs:
+        first = 0  # index of the stack's first image
+        for (stack,) in stacks(source_images):
+            seeds = [spec.seed + first + n for n in range(len(stack))]
+            for n, out in enumerate(_degrade(stack, spec, seeds)):
+                rows.append(PairRow(len(rows), spec.kind, seeds[n], source_images[first + n], out))
+            first += len(stack)
     train, val, test = _stratified_split([r.kind for r in rows], split)
     return PairedDataset(rows, train, val, test)
 

@@ -51,21 +51,21 @@ def _keep_freed_heap() -> None:
 STACK_PIXELS = 32_768
 
 
-def stacks(degraded: Sequence, clean: Sequence, pixels: int = STACK_PIXELS):
-    """Yield matching (N, H, W) stacks of consecutive grids of two sequences, in order.
+def stacks(*seqs: Sequence, pixels: int = STACK_PIXELS):
+    """Yield matching (N, H, W) stacks of consecutive grids of equal-length sequences, in order.
 
-    A stack holds at most `pixels` pixels, or one grid if a grid is larger;
-    it ends where either sequence changes shape.
+    A stack holds at most `pixels` pixels of the first sequence, or one grid if
+    a grid is larger; it ends where any sequence changes shape.
     """
     i = 0
-    while i < len(degraded):
-        shapes = (as_grid(degraded[i]).shape, as_grid(clean[i]).shape)
+    while i < len(seqs[0]):
+        shapes = tuple(as_grid(seq[i]).shape for seq in seqs)
         h, w = shapes[0]
-        end = min(len(degraded), i + max(1, pixels // (h * w)))
+        end = min(len(seqs[0]), i + max(1, pixels // (h * w)))
         j = i + 1
-        while j < end and (np.shape(degraded[j]), np.shape(clean[j])) == shapes:
+        while j < end and tuple(np.shape(seq[j]) for seq in seqs) == shapes:
             j += 1
-        yield tuple(np.stack([as_grid(g) for g in seq[i:j]]) for seq in (degraded, clean))
+        yield tuple(np.stack([as_grid(g) for g in seq[i:j]]) for seq in seqs)
         i = j
 
 

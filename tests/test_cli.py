@@ -395,6 +395,43 @@ def test_negative_seed_is_a_config_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "sigma", ["1e308", "1e-320", "-1.2", "-0.0"],
+    ids=["2s2-overflows", "2s2-underflows", "negative", "negative-zero"],
+)
+def test_blur_kernel_sigma_extremes_are_a_config_error(sigma, tmp_path, capsys):
+    # before: 1e308 raised OverflowError (exit 1, traceback), and 1e-320 wrote
+    # NaN grids that load_dataset then refused (exit 5); a negative sigma has a
+    # positive 2σ², so the sign needs its own check
+    argv = ["degrade", "--synthetic", "2", "--size", "16",
+            "--set", f"degradation.specs=blur(kernel_sigma={sigma})", "-o", str(tmp_path)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "kernel_sigma" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("size", ["2", "1", "0", "-3"])
+def test_synthetic_size_below_three_is_a_config_error(size, tmp_path, capsys):
+    # before: ValueError, ZeroDivisionError or "negative dimensions" (exit 1, traceback)
+    rc = cli.main(["degrade", "--synthetic", "2", "--size", size, "--set", SPECS,
+                   "-o", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "height and width >= 3" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_synthetic_size_three_degrades(tmp_path, capsys):
+    rc = cli.main(["degrade", "--synthetic", "2", "--size", "3",
+                   "--set", "degradation.specs=noise(sigma=0.1);blur(kernel_sigma=1.0)",
+                   "--set", "dataset.val_fraction=0.5", "-o", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
     "freeze,message",
     [("lowpass,lowpass", "twice"), ("spectral,spatial,lowpass", "nothing would train")],
     ids=["repeated-block", "every-block"],

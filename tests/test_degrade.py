@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evorestore import degrade
 from evorestore.degrade import (
     DegradationSpec,
     SplitConfig,
@@ -17,6 +20,7 @@ from evorestore.degrade import (
     write_pgm,
 )
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
+from evorestore.grids import conv2_periodic, hermitian_flip
 
 MANIFEST_HEADER = "index,kind,seed,clean_path,degraded_path"
 
@@ -83,6 +87,8 @@ def test_degradation_rejects_out_of_range_input():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         DegradationSpec("noise", sigma=-0.1).validate()
+    with pytest.raises(ConfigError, match="kernel_sigma must be > 0"):
+        apply_degradation(flat(), DegradationSpec("blur", kernel_sigma=-1.2))
     with pytest.raises(ConfigError):
         DegradationSpec("haze", t0=1.4, airlight=0.9).validate()
     with pytest.raises(ConfigError):
@@ -335,3 +341,175 @@ def test_split_config_validation():
         SplitConfig(0.7, 0.5, 0).validate()
     with pytest.raises(ConfigError):
         SplitConfig(-0.1, 0.0, 0).validate()
+
+
+# ---------------------------------------------------------------------------
+# The stacked set-up path against the one-grid-at-a-time code it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_degradation(clean, spec):
+    """The one-grid degradation as it was written before stacks, unchanged."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.kind == "noise":
+        out = clean + rng.normal(0.0, spec.sigma, size=clean.shape)
+    elif spec.kind == "blur":
+        out = conv2_periodic(clean, degrade._blur_kernel_for(spec.kernel_sigma, *clean.shape))
+    elif spec.kind == "haze":
+        out = spec.t0 * clean + (1.0 - spec.t0) * spec.airlight
+    elif spec.kind == "lowlight":
+        out = spec.scale * np.power(clean, spec.gamma)
+    else:  # rain
+        out = clean.copy()
+        h, w = clean.shape
+        theta = math.radians(spec.angle_deg)
+        length = max(3, int(0.25 * min(h, w)))
+        for _ in range(spec.count):
+            ci = rng.uniform(0, h)
+            cj = rng.uniform(0, w)
+            jitter = math.radians(rng.normal(0.0, 2.0))
+            di = math.cos(theta + jitter)
+            dj = math.sin(theta + jitter)
+            for s in range(-length // 2, length // 2 + 1):
+                ii = int(round(ci + s * di)) % h
+                jj = int(round(cj + s * dj)) % w
+                out[ii, jj] += spec.intensity
+    return np.clip(out, 0.0, 1.0)
+
+
+def reference_clean_images(n, height, width, seed):
+    """The synthesis loop as it was written with one Python step per Fourier term, unchanged."""
+    rng = np.random.default_rng(seed)
+    ii = np.arange(height)[:, None] / height
+    jj = np.arange(width)[None, :] / width
+    images = []
+    for idx in range(n):
+        spec = np.zeros((height, width), dtype=np.complex128)
+        kmax = 5
+        for u in range(-kmax, kmax + 1):
+            for v in range(-kmax, kmax + 1):
+                if u == 0 and v == 0:
+                    continue
+                r = math.hypot(u, v)
+                if r > kmax:
+                    continue
+                amp = rng.normal() / (1.0 + r * r)
+                phase = rng.uniform(0, 2 * math.pi)
+                spec[u % height, v % width] = amp * np.exp(1j * phase)
+        spec = 0.5 * (spec + np.conj(hermitian_flip(spec)))
+        base = np.fft.ifft2(spec, norm="ortho").real
+        for _ in range(2):
+            i0 = rng.integers(0, height // 2)
+            j0 = rng.integers(0, width // 2)
+            di = int(rng.integers(height // 8, height // 3))
+            dj = int(rng.integers(width // 8, width // 3))
+            base[i0 : i0 + di, j0 : j0 + dj] += rng.uniform(-0.6, 0.6)
+        ci, cj = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
+        rad = rng.uniform(0.08, 0.22)
+        disc = (ii - ci) ** 2 + (jj - cj) ** 2 <= rad * rad
+        base[disc] += rng.uniform(-0.5, 0.5)
+        lo, hi = base.min(), base.max()
+        span = hi - lo if hi > lo else 1.0
+        images.append(0.05 + 0.9 * (base - lo) / span)
+    return images
+
+
+ALL_KINDS = (
+    DegradationSpec("noise", sigma=0.1, seed=100),
+    DegradationSpec("blur", kernel_sigma=1.2, seed=200),
+    DegradationSpec("haze", t0=0.6, airlight=0.9, seed=300),
+    DegradationSpec("lowlight", gamma=1.8, scale=0.6, seed=400),
+    DegradationSpec("rain", count=20, angle_deg=60.0, intensity=0.5, seed=500),
+)
+
+
+def assert_reference_bytes(images, specs, ds):
+    expect = [
+        (spec.kind, spec.seed + i, reference_degradation(img, replace(spec, seed=spec.seed + i)))
+        for spec in specs
+        for i, img in enumerate(images)
+    ]
+    assert len(ds.pairs) == len(expect)
+    for row, (kind, seed, degraded) in zip(ds.pairs, expect):
+        assert (row.kind, row.seed) == (kind, seed)
+        assert row.clean is images[row.index % len(images)]
+        assert row.degraded.tobytes() == degraded.tobytes(), (row.index, kind)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (17, 23), (33, 31), (40, 56), (3, 3), (10, 7)])
+def test_synthetic_images_are_the_per_image_loop_bytes(shape):
+    for seed in (0, 3, 11):
+        got = synthetic_clean_images(5, *shape, seed=seed)
+        want = reference_clean_images(5, *shape, seed)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (17, 23), (33, 31), (40, 56)])
+def test_build_dataset_is_the_per_pair_bytes_for_every_kind(shape):
+    for seed in (1, 2, 7):
+        images = synthetic_clean_images(6, *shape, seed=seed)
+        specs = [replace(s, seed=s.seed + 10 * seed) for s in ALL_KINDS]
+        assert_reference_bytes(images, specs, build_dataset(images, specs, SplitConfig(0.5)))
+
+
+def test_overlapping_rain_streaks_are_the_per_pair_bytes():
+    # 40 streaks at a negative angle on 24 px grids cross and wrap, so pixels take several adds
+    images = synthetic_clean_images(4, 24, 24, seed=5)
+    spec = DegradationSpec("rain", count=40, angle_deg=-35.0, intensity=0.05, seed=9)
+    ds = build_dataset(images, [spec], SplitConfig(0.25))
+    assert_reference_bytes(images, [spec], ds)
+    steps = np.round((ds.pairs[0].degraded - images[0]) / 0.05)
+    assert steps.max() >= 2  # some pixel took more than one streak sample
+
+
+def test_mixed_shape_sources_are_the_per_pair_bytes():
+    rng = np.random.default_rng(2)
+    images = [rng.uniform(0.1, 0.9, shape) for shape in ((16, 16), (24, 20), (16, 16))]
+    ds = build_dataset(images, ALL_KINDS, SplitConfig(0.34))
+    assert_reference_bytes(images, ALL_KINDS, ds)
+
+
+def test_blur_convolves_a_stack_a_chunk_at_a_time(monkeypatch):
+    calls = []
+
+    def counted(x, k):
+        calls.append(np.shape(x))
+        return conv2_periodic(x, k)
+
+    monkeypatch.setattr(degrade, "conv2_periodic", counted)
+    images = synthetic_clean_images(24, 64, 64, seed=4)
+    build_dataset(images, [DegradationSpec("blur", kernel_sigma=1.2, seed=3)], SplitConfig(0.25))
+    assert len(calls) <= 3
+    assert sum(shape[0] for shape in calls) == 24
+
+
+def test_apply_degradation_is_one_pair_of_build_dataset():
+    images = synthetic_clean_images(5, 20, 28, seed=6)
+    ds = build_dataset(images, ALL_KINDS, SplitConfig(0.4))
+    for row in ds.pairs:
+        spec = ALL_KINDS[row.index // len(images)]
+        alone = apply_degradation(images[row.index % len(images)], replace(spec, seed=row.seed))
+        assert alone.tobytes() == row.degraded.tobytes()
+
+
+def test_rain_memory_does_not_grow_with_streak_count():
+    img = flat(0.2, 16)
+
+    def peak(count):
+        spec = DegradationSpec("rain", count=count, angle_deg=-35.0, intensity=0.01, seed=4)
+        tracemalloc.start()
+        try:
+            apply_degradation(img, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 20,000 streaks already fill several STACK_PIXELS blocks; ten times as many
+    # would hold 8 MB of sample indices at once if the blocks grew with the count
+    assert peak(200_000) < 1.25 * peak(20_000)
+
+
+def test_build_dataset_names_the_out_of_range_clean_image():
+    images = [flat(0.5, 8), flat(0.5, 8), np.full((8, 8), 1.5)]
+    with pytest.raises(NumericIntegrityError, match=r"\[1\.5, 1\.5\]"):
+        build_dataset(images, [DegradationSpec("haze", t0=0.5)], SplitConfig(0.34))

@@ -342,7 +342,7 @@ def test_trained_bytes_do_not_depend_on_the_stack_budget(monkeypatch, mask_mode,
 
         def budgeted(degraded, clean, grids_per_stack=grids_per_stack, seen=seen):
             pixels = STACK_PIXELS if grids_per_stack is None else grids_per_stack * 24 * 24
-            for pair in stacks(degraded, clean, pixels):
+            for pair in stacks(degraded, clean, pixels=pixels):
                 seen.append(len(pair[0]))
                 yield pair
 
