@@ -128,7 +128,6 @@ def _cmd_degrade(args) -> int:
             args.synthetic, args.size, args.size, seed=args.image_seed
         )
     dataset = build_dataset(images, app.degradations, app.dataset.split())
-    os.makedirs(args.out, exist_ok=True)
     manifest = write_dataset(args.out, dataset)
     print(
         f"wrote {len(dataset.pairs)} pairs "

@@ -30,7 +30,8 @@ from .grids import (
     gaussian_kernel,
     hermitian_flip,
     read_fgrid,
-    write_fgrid,
+    read_fgrids,
+    write_fgrids,
 )
 from .util import STACK_PIXELS, read_records, stacks, write_records
 
@@ -292,7 +293,7 @@ def write_pgm(path, grid, maxval: int = 255) -> None:
 
 
 def read_image(path) -> np.ndarray:
-    """Dispatch on extension: .pgm -> PGM, anything else -> FGRID."""
+    """Dispatch on extension: .pgm -> PGM, anything else -> a one-record FGRID file."""
     if str(path).lower().endswith(".pgm"):
         return read_pgm(path)
     return read_fgrid(path)
@@ -413,67 +414,63 @@ def build_dataset(source_images, specs, split: SplitConfig) -> PairedDataset:
 
 @dataclass
 class ManifestRow:
-    """One line of manifest.txt: a pair and its two grid files, relative to the manifest."""
+    """One line of manifest.txt: a pair, and the record of its clean grid in clean.fgrid."""
 
     index: int
     kind: str
     seed: int
-    clean_path: str
-    degraded_path: str
+    clean: int
 
 
 def write_dataset(out_dir, dataset: PairedDataset) -> str:
-    """Materialize FGRID files plus manifest.txt, one ManifestRow per pair.
+    """Write manifest.txt, clean.fgrid and degraded.fgrid whole into out_dir, made if missing.
 
-    Each distinct clean array (by identity: build_dataset shares one per source
-    image across its pairs) is written once, as clean/<index of the first pair
-    that holds it>.fgrid, and every pair holding it names that path. Any other
-    .fgrid file in clean/ or degraded/ (left by an earlier dataset written
-    there) is removed; nothing else in out_dir is touched.
+    clean.fgrid holds each distinct clean array (by identity: build_dataset
+    shares one per source image) once, in order of first use; degraded.fgrid
+    one record per pair, in index order. Row k of the manifest is pair k.
     """
-    subdirs = ("clean", "degraded")
-    for sub in subdirs:
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    rows = []
-    clean_paths = {}  # id(clean array) -> its path; the rows keep every array alive
-    for row in dataset.pairs:
-        cpath = clean_paths.get(id(row.clean))
-        if cpath is None:
-            cpath = clean_paths[id(row.clean)] = os.path.join("clean", f"{row.index:05d}.fgrid")
-            write_fgrid(os.path.join(out_dir, cpath), row.clean)
-        dpath = os.path.join("degraded", f"{row.index:05d}.fgrid")
-        write_fgrid(os.path.join(out_dir, dpath), row.degraded)
-        rows.append(ManifestRow(row.index, row.kind, row.seed, cpath, dpath))
+    os.makedirs(out_dir, exist_ok=True)
+    firsts = {id(r.clean): r.clean for r in dataset.pairs}  # keys in order of first use
+    number = {key: n for n, key in enumerate(firsts)}
+    write_fgrids(os.path.join(out_dir, "clean.fgrid"), firsts.values())
+    write_fgrids(os.path.join(out_dir, "degraded.fgrid"), [r.degraded for r in dataset.pairs])
+    rows = [ManifestRow(r.index, r.kind, r.seed, number[id(r.clean)]) for r in dataset.pairs]
     manifest = os.path.join(out_dir, "manifest.txt")
     write_records(manifest, ManifestRow, rows)
-    named = {p for r in rows for p in (r.clean_path, r.degraded_path)}
-    for sub in subdirs:
-        for name in os.listdir(os.path.join(out_dir, sub)):
-            rel = os.path.join(sub, name)
-            if name.endswith(".fgrid") and rel not in named:
-                os.remove(os.path.join(out_dir, rel))
     return manifest
 
 
 def load_dataset(manifest_path, split: SplitConfig) -> PairedDataset:
-    """Rebuild a PairedDataset from a manifest; splits recomputed from `split`.
+    """Rebuild what write_dataset wrote, with splits from `split`; errors name the row or record.
 
-    Each distinct clean_path is read once, and every row naming it holds the
-    same array, so a manifest whose pairs share clean files loads each source
-    image once; one with a clean file per pair loads a copy per pair.
+    Row k must carry index k and name clean records in order of first use, the
+    record files hold exactly the records the rows name, and each pair's two
+    grids one shape. Rows naming one clean record share its array.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    rows = []
-    cleans = {}  # clean_path -> its grid
-    for k, m in enumerate(read_records(manifest_path, ManifestRow)):
-        if m.index != k:  # write_dataset names each pair's files by index
+    manifest = read_records(manifest_path, ManifestRow)
+    used = 0  # clean records named so far
+    for k, m in enumerate(manifest):
+        if m.index != k:
             raise NumericIntegrityError(
                 f"{manifest_path}: row {k} carries index {m.index}, expected {k}"
             )
-        if m.clean_path not in cleans:
-            cleans[m.clean_path] = read_image(os.path.join(base, m.clean_path))
-        degraded = read_image(os.path.join(base, m.degraded_path))
-        rows.append(PairRow(m.index, m.kind, m.seed, cleans[m.clean_path], degraded))
+        if not 0 <= m.clean <= used:  # numbered in order of first use
+            raise NumericIntegrityError(
+                f"{manifest_path}: row {k} names clean record {m.clean}, expected 0 to {used}"
+            )
+        used += m.clean == used
+    cleans = read_fgrids(os.path.join(base, "clean.fgrid"), used)
+    degradeds = read_fgrids(os.path.join(base, "degraded.fgrid"), len(manifest))
+    rows = []
+    for m, degraded in zip(manifest, degradeds):
+        clean = cleans[m.clean]
+        if clean.shape != degraded.shape:
+            raise DimensionError(
+                f"{manifest_path}: row {m.index}: clean record {m.clean} is {clean.shape}, "
+                f"degraded record {m.index} is {degraded.shape}"
+            )
+        rows.append(PairRow(m.index, m.kind, m.seed, clean, degraded))
     split.validate()
     train, val, test = _stratified_split([r.kind for r in rows], split)
     return PairedDataset(rows, train, val, test)

@@ -15,6 +15,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 
 from .errors import DimensionError, NumericIntegrityError
@@ -159,38 +162,56 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# FGRID container: "FGRID <height> <width>\n" + row-major little-endian float64
+# FGRID container: one or more records back to back, each
+# "FGRID <height> <width>\n" + row-major little-endian float64
 # ---------------------------------------------------------------------------
 
 _FGRID_HEADER = b"FGRID %d %d\n"
+_FGRID_HEADER_TEXT = re.compile(rb"FGRID ([1-9][0-9]*) ([1-9][0-9]*)\n")  # as %d writes h, w >= 1
+
+
+def write_fgrids(path, grids) -> None:
+    """Write each grid as one FGRID record, in order; records may differ in shape."""
+    grids = [as_grid(x) for x in grids]
+    with open(path, "wb") as fh:
+        for x in grids:
+            fh.write(_FGRID_HEADER % x.shape)
+            fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
 def write_fgrid(path, x) -> None:
-    x = as_grid(x)
-    with open(path, "wb") as fh:
-        fh.write(_FGRID_HEADER % x.shape)
-        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    write_fgrids(path, [x])
+
+
+def read_fgrids(path, count: int | None = None) -> list:
+    """The grids write_fgrids wrote, read a record at a time; an empty file holds none.
+
+    A header spelt other than write_fgrids spells it, a payload cut short, NaN or infinite
+    pixels, or a count other than `count` (if given) raise NumericIntegrityError.
+    """
+    grids = []
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        while header := fh.readline():
+            where = f"{path}: record {len(grids)}"
+            if not (m := _FGRID_HEADER_TEXT.fullmatch(header)):
+                raise NumericIntegrityError(f"{where}: malformed FGRID header {header!r}")
+            h, w = int(m[1]), int(m[2])
+            left = size - fh.tell()
+            if 8 * h * w > left:  # checked before allocating what the header claims
+                raise NumericIntegrityError(
+                    f"{where}: FGRID payload is {left} bytes, expected {8 * h * w}"
+                )
+            x = np.empty((h, w), dtype="<f8")
+            fh.readinto(x)
+            if not np.all(np.isfinite(x)):
+                raise NumericIntegrityError(f"{where}: FGRID holds NaN or infinite pixels")
+            grids.append(x.astype(np.float64, copy=False))
+    if count is not None and len(grids) != count:
+        raise NumericIntegrityError(f"{path}: {len(grids)} FGRID records, expected {count}")
+    return grids
 
 
 def read_fgrid(path) -> np.ndarray:
-    """The grid write_fgrid wrote; a header spelt any other way is NumericIntegrityError."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        h, w = (int(v) for v in header.split()[1:3])
-    except ValueError as exc:
-        raise NumericIntegrityError(f"{path}: malformed FGRID header {header!r}") from exc
-    if header != _FGRID_HEADER % (h, w):
-        raise NumericIntegrityError(f"{path}: malformed FGRID header {header!r}")
-    if h < 1 or w < 1:
-        raise DimensionError(f"{path}: FGRID dimensions must be positive, got {h}x{w}")
-    expect = h * w * 8
-    if len(payload) != expect:
-        raise NumericIntegrityError(
-            f"{path}: FGRID payload is {len(payload)} bytes, expected {expect}"
-        )
-    x = np.frombuffer(payload, dtype="<f8").reshape(h, w).astype(np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericIntegrityError(f"{path}: FGRID holds NaN or infinite pixels")
-    return x
+    """The grid write_fgrid wrote: a file of exactly one FGRID record."""
+    return read_fgrids(path, 1)[0]

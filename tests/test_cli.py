@@ -109,23 +109,25 @@ def test_config_keys_are_the_config_dataclass_fields():
 
 
 def test_degrade_is_reproducible(tmp_path):
+    from evorestore.grids import read_fgrids
+
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
         rc = cli.main(
             ["degrade", "--synthetic", "3", "--size", "12", "--set", SPECS, "-o", str(d)]
         )
         assert rc == 0
-    assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
-    sample = "degraded/00001.fgrid"
-    assert (a / sample).read_bytes() == (b / sample).read_bytes()
-    assert len(list((a / "clean").iterdir())) == 3  # one per image, shared by its 2 kinds
+    for name in ("manifest.txt", "clean.fgrid", "degraded.fgrid"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert len(read_fgrids(a / "clean.fgrid")) == 3  # one per image, shared by its 2 kinds
+    assert len(read_fgrids(a / "degraded.fgrid")) == 6
 
 
 def test_degrade_from_image_directory(tmp_path):
     import numpy as np
 
     from evorestore.degrade import synthetic_clean_images, write_pgm
-    from evorestore.grids import read_fgrid, write_fgrid
+    from evorestore.grids import read_fgrids, write_fgrid
 
     src = tmp_path / "imgs"
     src.mkdir()
@@ -138,9 +140,11 @@ def test_degrade_from_image_directory(tmp_path):
     assert rc == 0
     manifest = (out / "manifest.txt").read_text().strip().split("\n")
     assert len(manifest) == 1 + 4
+    clean = read_fgrids(out / "clean.fgrid")
+    assert len(clean) == 2
     # 16-bit PGM round trip is lossy only at the half-step level
-    clean = read_fgrid(out / "clean" / "00000.fgrid")
-    assert np.max(np.abs(clean - imgs[0])) <= 0.5 / 65535
+    assert np.max(np.abs(clean[0] - imgs[0])) <= 0.5 / 65535
+    assert clean[1].tobytes() == imgs[1].tobytes()
 
 
 def test_train_writes_artifacts(run_dirs):
@@ -488,22 +492,69 @@ def _assert_exit_5(rc, capsys, *names):
     assert all(name in err for name in names)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_degraded_grid_exit_code(run_dirs, tmp_path, capsys, value):
-    # before: NaN reached training and surfaced as a divergence (exit 3)
-    from evorestore.grids import read_fgrid, write_fgrid
+def _copy_with_record(run_dirs, tmp_path, name, k, edit):
+    """A copy of the shared dataset whose record k of `name` is edit(record)."""
+    from evorestore.grids import read_fgrids, write_fgrids
 
     data, _ = run_dirs
     copy = tmp_path / "data"
     shutil.copytree(data, copy)
-    grid_path = copy / "degraded" / "00001.fgrid"
-    grid = read_fgrid(grid_path)
-    grid[3, 5] = value
-    write_fgrid(grid_path, grid)
+    grids = read_fgrids(copy / name)
+    grids[k] = edit(grids[k])
+    write_fgrids(copy / name, grids)
+    return copy / "manifest.txt"
+
+
+def _train_exit_code(manifest, tmp_path, capsys):
     capsys.readouterr()
-    rc = cli.main(["train", "--manifest", str(copy / "manifest.txt"), *TINY_TRAIN,
-                   "-o", str(tmp_path / "run")])
-    _assert_exit_5(rc, capsys, "00001.fgrid")
+    return cli.main(["train", "--manifest", str(manifest), *TINY_TRAIN,
+                     "-o", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_degraded_grid_exit_code(run_dirs, tmp_path, capsys, value):
+    # before: NaN reached training and surfaced as a divergence (exit 3)
+    def poison(grid):
+        grid = grid.copy()
+        grid[3, 5] = value
+        return grid
+
+    manifest = _copy_with_record(run_dirs, tmp_path, "degraded.fgrid", 1, poison)
+    rc = _train_exit_code(manifest, tmp_path, capsys)
+    _assert_exit_5(rc, capsys, "degraded.fgrid: record 1:", "NaN or infinite")
+
+
+def test_pair_with_mismatched_shapes_exit_code(run_dirs, tmp_path, capsys):
+    # before: the pair loaded, and train stopped later at the operator
+    manifest = _copy_with_record(run_dirs, tmp_path, "degraded.fgrid", 2, lambda g: g[:, :12])
+    rc = _train_exit_code(manifest, tmp_path, capsys)
+    _assert_exit_5(rc, capsys, "manifest.txt: row 2:", "(16, 16)", "(16, 12)")
+
+
+# the shared dataset: 4 images x 2 kinds, rows 0-7 naming clean records 0, 1, 2, 3, 0, 1, 2, 3
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ({1: "2"}, "row 1 names clean record 2, expected 0 to 1"),  # skips record 1
+        ({0: "-1"}, "row 0 names clean record -1, expected 0 to 0"),
+        ({3: "9"}, "row 3 names clean record 9, expected 0 to 3"),
+        ({3: "0", 7: "0"}, "clean.fgrid: 4 FGRID records, expected 3"),  # record 3 unnamed
+        ({7: None}, "degraded.fgrid: 8 FGRID records, expected 7"),  # last row dropped
+    ],
+    ids=["skip-ahead", "negative", "out-of-range", "unnamed-record", "missing-row"],
+)
+def test_manifest_clean_record_numbers_exit_code(run_dirs, tmp_path, capsys, edits, message):
+    data, _ = run_dirs
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    lines = (copy / "manifest.txt").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for k, clean in edits.items():
+        rows[k][3] = clean
+    lines[1:] = [",".join(r) for r in rows if r[3] is not None]
+    (copy / "manifest.txt").write_text("\n".join(lines) + "\n")
+    rc = _train_exit_code(copy / "manifest.txt", tmp_path, capsys)
+    _assert_exit_5(rc, capsys, message)
 
 
 def test_non_finite_clean_grid_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evorestore import degrade
+from evorestore import cli, degrade
 from evorestore.degrade import (
     DegradationSpec,
     SplitConfig,
@@ -20,9 +20,10 @@ from evorestore.degrade import (
     write_pgm,
 )
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
-from evorestore.grids import conv2_periodic, hermitian_flip
+from evorestore.grids import conv2_periodic, hermitian_flip, read_fgrids
 
-MANIFEST_HEADER = "index,kind,seed,clean_path,degraded_path"
+MANIFEST_HEADER = "index,kind,seed,clean"
+DATASET_FILES = ["clean.fgrid", "degraded.fgrid", "manifest.txt"]
 
 
 def flat(v=0.5, n=32):
@@ -225,17 +226,16 @@ def test_dataset_with_a_numpy_seed_round_trips(tmp_path):
     assert [r.degraded.tobytes() for r in back.pairs] == [r.degraded.tobytes() for r in ds.pairs]
 
 
-def test_write_dataset_stores_one_clean_file_per_source_image(tmp_path):
+def test_write_dataset_stores_one_clean_record_per_source_image(tmp_path):
     ds = make_dataset()  # 10 images x 2 kinds; image i is pair i and pair i + 10
     manifest = write_dataset(tmp_path, ds)
-    assert sorted(p.name for p in (tmp_path / "clean").iterdir()) == [
-        f"{i:05d}.fgrid" for i in range(10)
-    ]
-    assert len(list((tmp_path / "degraded").iterdir())) == 20
+    cleans = read_fgrids(tmp_path / "clean.fgrid")
+    assert [c.tobytes() for c in cleans] == [r.clean.tobytes() for r in ds.pairs[:10]]
+    degraded = read_fgrids(tmp_path / "degraded.fgrid")
+    assert [d.tobytes() for d in degraded] == [r.degraded.tobytes() for r in ds.pairs]
     rows = [ln.split(",") for ln in open(manifest).read().splitlines()[1:]]
     for i in range(10):
-        assert rows[i][3] == rows[i + 10][3] == f"clean/{i:05d}.fgrid"
-        assert rows[i][4] != rows[i + 10][4]
+        assert rows[i][3] == rows[i + 10][3] == str(i)
 
 
 def test_loaded_pairs_of_one_image_share_one_clean_array(tmp_path):
@@ -247,11 +247,11 @@ def test_loaded_pairs_of_one_image_share_one_clean_array(tmp_path):
 
 
 def write_old_layout(root, ds):
-    """Write `ds` in the layout before clean files were shared: clean/<pair index>.fgrid
-    for every pair."""
+    """Write `ds` in the layout of one FGRID file per grid: clean/<pair index>.fgrid and
+    degraded/<pair index>.fgrid, named by a clean_path,degraded_path manifest."""
     from evorestore.grids import write_fgrid
 
-    lines = [MANIFEST_HEADER]
+    lines = ["index,kind,seed,clean_path,degraded_path"]
     for sub in ("clean", "degraded"):
         (root / sub).mkdir(parents=True)
     for r in ds.pairs:
@@ -262,32 +262,28 @@ def write_old_layout(root, ds):
     (root / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def test_manifest_with_one_clean_file_per_pair_loads_bit_identically(tmp_path):
-    ds = make_dataset()
-    write_old_layout(tmp_path, ds)
-    back = load_dataset(tmp_path / "manifest.txt", SplitConfig(0.2, 0.0, 9))
-    assert (back.train_idx, back.val_idx) == (ds.train_idx, ds.val_idx)
-    for a, b in zip(ds.pairs, back.pairs):
-        assert (a.index, a.kind, a.seed) == (b.index, b.kind, b.seed)
-        assert a.clean.tobytes() == b.clean.tobytes()
-        assert a.degraded.tobytes() == b.degraded.tobytes()
-    assert back.pairs[0].clean is not back.pairs[10].clean
+def test_old_layout_fails_closed_at_the_manifest_header(tmp_path, capsys):
+    write_old_layout(tmp_path / "data", make_dataset())
+    manifest = str(tmp_path / "data" / "manifest.txt")
+    rc = cli.main(["train", "--manifest", manifest, "-o", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"corrupt or inconsistent input: {manifest}:1: header ")
+    assert not (tmp_path / "run").exists()
 
 
-def test_write_dataset_removes_grid_files_its_manifest_does_not_name(tmp_path):
-    write_old_layout(tmp_path, make_dataset())  # 20 clean files, 20 degraded files
-    (tmp_path / "clean" / "notes.txt").write_text("kept")
-    (tmp_path / "other.fgrid").write_text("kept")
-    ds = make_dataset(n_images=3)  # 3 images x 2 kinds: 3 clean files, 6 degraded
-    manifest = write_dataset(tmp_path, ds)
-    rows = [ln.split(",") for ln in open(manifest).read().splitlines()[1:]]
-    for sub, col, n in (("clean", 3, 3), ("degraded", 4, 6)):
-        grids = {f"{sub}/{p.name}" for p in (tmp_path / sub).glob("*.fgrid")}
-        assert grids == {r[col] for r in rows} and len(grids) == n
-    assert (tmp_path / "clean" / "notes.txt").read_text() == "kept"
-    assert (tmp_path / "other.fgrid").read_text() == "kept"
-    back = load_dataset(manifest, SplitConfig(0.2, 0.0, 9))
-    assert [r.degraded.tobytes() for r in back.pairs] == [r.degraded.tobytes() for r in ds.pairs]
+def test_write_dataset_leaves_exactly_three_files(tmp_path):
+    fresh = tmp_path / "new" / "dir"  # made, parents included
+    write_dataset(fresh, make_dataset(n_images=3))
+    assert sorted(p.name for p in fresh.iterdir()) == DATASET_FILES
+    # the files are rewritten whole: a smaller dataset over a larger one leaves no trace of it
+    again = tmp_path / "again"
+    write_dataset(again, make_dataset())
+    write_dataset(again, make_dataset(n_images=3))
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()
+    }
 
 
 def test_writing_a_loaded_dataset_again_gives_the_same_files(tmp_path):
@@ -298,7 +294,7 @@ def test_writing_a_loaded_dataset_again_gives_the_same_files(tmp_path):
     def files(root):
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-    assert (a / "manifest.txt").read_text() == (b / "manifest.txt").read_text()
+    assert sorted(files(a)) == DATASET_FILES
     assert files(a) == files(b)
 
 

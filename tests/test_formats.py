@@ -1,10 +1,10 @@
 """Property tests for the on-disk formats: any bytes parse or raise a package error.
 
-Each file parser (FMMP checkpoints, FGRID and PGM images, dataset manifests,
-and the CSV record reader behind the manifest and `report`'s run files) gets
-three kinds of input: arbitrary bytes, a valid file with random edits, and a
-header assembled from plausible and arbitrary tokens. A parse must
-succeed with a well-formed result or raise ConfigError, DimensionError or
+Each file parser (FMMP checkpoints, FGRID and PGM images, dataset manifests
+with their two FGRID record files, and the CSV record reader behind the
+manifest and `report`'s run files) gets three kinds of input: arbitrary
+bytes, a valid file with random edits, and a header assembled from plausible
+and arbitrary tokens. A parse must succeed with a well-formed result or raise ConfigError, DimensionError or
 NumericIntegrityError, which the CLI maps to exit codes 2 and 5. Config files
 (arbitrary bytes) and `--set` overrides (known or arbitrary keys, arbitrary
 values) must load with finite float values or raise ConfigError.
@@ -27,7 +27,7 @@ from evorestore.config import documented_keys, load_config
 from evorestore.degrade import ManifestRow, SplitConfig, load_dataset, read_pgm, write_pgm
 from evorestore.eos import TriggerSummary
 from evorestore.errors import ConfigError, DimensionError, NumericIntegrityError
-from evorestore.grids import read_fgrid, write_fgrid
+from evorestore.grids import read_fgrid, read_fgrids, write_fgrid, write_fgrids
 from evorestore.trainer import EvalPoint, IterationRow
 from evorestore.util import fmt, parse_cell, read_records, write_records
 
@@ -213,6 +213,74 @@ def test_fgrid_header_mutants_raise_or_write_back_the_same_bytes(scratch, data):
         assert (scratch / "again.fgrid").read_bytes() == path.read_bytes()
 
 
+def _records(*grids) -> bytes:
+    """The bytes write_fgrids writes for `grids`."""
+    return b"".join(b"FGRID %d %d\n" % g.shape + g.astype("<f8").tobytes() for g in grids)
+
+
+# three records of two shapes, as a dataset's clean.fgrid may hold them
+_RECORDS = (_grid(), _grid()[::-1].T.copy(), np.full((2, 2), 0.25))
+_THREE = _records(*_RECORDS)
+_NAN = _grid()
+_NAN[2, 1] = np.nan
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.binary(max_size=256),
+        _edited(_THREE),
+        _header_mutants(_records(*_RECORDS[1:]), len(b"FGRID 4 3\n")).map(
+            lambda tail: _records(_RECORDS[0]) + tail  # the middle record's header edited
+        ),
+        st.lists(st.sampled_from(_RECORDS), max_size=4).map(lambda gs: _records(*gs)),
+    )
+)
+@example(_THREE[:-5])  # payload cut short
+@example(_records(_RECORDS[0]) + b"FGRID 4 x\n" + _records(_RECORDS[2]))  # bad middle header
+@example(_THREE + b"FGRID 2")  # trailing partial header
+@example(_THREE + b"\n")  # trailing empty line
+@example(_records(_RECORDS[0], _NAN))  # a NaN record
+@example(_records(_RECORDS[0], np.full((1, 1), np.inf)))  # an infinite record
+@example(b"")  # empty file: no records
+def test_read_fgrids_parses_or_raises_a_package_error(scratch, blob):
+    path = scratch / "records.fgrid"
+    path.write_bytes(blob)
+    grids = _expect_parse_or_package_error(read_fgrids, path)
+    if grids is not None:
+        assert isinstance(grids, list)
+        for x in grids:
+            assert x.ndim == 2 and x.dtype == np.float64 and np.all(np.isfinite(x))
+        write_fgrids(scratch / "again.fgrid", grids)
+        assert (scratch / "again.fgrid").read_bytes() == blob
+
+
+@pytest.mark.parametrize(
+    "blob,message",
+    [
+        (_THREE[:-5], "record 2: FGRID payload is 27 bytes, expected 32"),
+        (_records(_RECORDS[0]) + b"FGRID 4 x\n" + _records(_RECORDS[2]), "record 1: malformed"),
+        (_THREE + b"FGRID 2", "record 3: malformed FGRID header b'FGRID 2'"),
+        (_records(_RECORDS[0], _NAN), "record 1: FGRID holds NaN or infinite pixels"),
+        (b"FGRID 999999999999 999999999999\n", "record 0: FGRID payload is 0 bytes"),
+    ],
+    ids=["truncated", "bad-middle-header", "partial-header", "nan-record", "huge-header"],
+)
+def test_read_fgrids_names_the_bad_record(tmp_path, blob, message):
+    path = tmp_path / "bad.fgrid"
+    path.write_bytes(blob)
+    with pytest.raises(NumericIntegrityError, match=f"^{path}: {message}"):
+        read_fgrids(path)
+
+
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_read_fgrid_rejects_a_file_without_exactly_one_record(tmp_path, n):
+    path = tmp_path / "x.fgrid"
+    path.write_bytes(_records(*_RECORDS[:n]))
+    with pytest.raises(NumericIntegrityError, match=f"{n} FGRID records, expected 1"):
+        read_fgrid(path)
+
+
 _MASK, _SPATIAL = b"mask_mode radial_bins\n", b"spatial_mode per_pixel\n"
 _FGRID_LINE = b"FGRID 3 4\n"
 # header spellings int() and split() read but the writers never write
@@ -312,58 +380,80 @@ def test_read_pgm_parses_or_raises_a_package_error(scratch, data):
 # Manifest
 # ---------------------------------------------------------------------------
 
-HEADER = "index,kind,seed,clean_path,degraded_path"
+HEADER = "index,kind,seed,clean"
+OLD_HEADER = "index,kind,seed,clean_path,degraded_path"
+GOOD_MANIFEST = f"{HEADER}\n0,noise,5,0\n1,blur,6,1\n2,noise,7,0\n".encode()
 
 
 def _manifests():
+    """Manifest text whose rows mostly carry their own index and name clean records in order
+    of first use, with clean numbers out of range, negative or skipping ahead, and 0 to 4
+    rows against the 3 degraded records; or arbitrary bytes."""
     field = st.one_of(TOKENS, st.sampled_from(["noise", "blur"]))
     number = st.one_of(*[st.integers(0, 9).map(str)] * 4, TOKENS)
-    path = st.one_of(
-        *[st.sampled_from(["a.fgrid", "b.fgrid", "c.pgm"])] * 6,
-        st.sampled_from(["bad.fgrid", "nan.fgrid", "a\0.fgrid"]),
-    )
+    # None: row k names record min(k, 1), so three such rows name both clean records
+    clean = st.one_of(*[st.none()] * 8, st.integers(-2, 4).map(str), TOKENS)
     row = st.builds(
-        lambda idx, kind, seed, c, d, extra: ",".join([idx, kind, seed, c, d] + extra),
+        lambda own, idx, kind, seed, c, extra: lambda k: ",".join(
+            [str(k) if own else idx, kind, seed, str(min(k, 1)) if c is None else c] + extra
+        ),
+        st.sampled_from([True] * 9 + [False]),
         number,
         field,
         number,
-        path,
-        path,
-        st.lists(TOKENS, max_size=1),
+        clean,
+        st.one_of(*[st.just([])] * 9, st.lists(TOKENS, min_size=1, max_size=1)),
     )
+    rows = st.one_of(st.lists(row, min_size=3, max_size=3), st.lists(row, max_size=4))
     text = st.builds(
-        lambda head, rows: "\n".join([head] + rows) + "\n",
-        st.sampled_from([HEADER] * 4 + [HEADER + ",x", ""]),
-        st.lists(row, max_size=4),
+        lambda head, rows: "\n".join([head] + [r(k) for k, r in enumerate(rows)]) + "\n",
+        st.sampled_from([HEADER] * 4 + [OLD_HEADER, HEADER + ",x", ""]),
+        rows,
     )
     return st.one_of(st.binary(max_size=256), text.map(lambda t: t.encode("utf-8")))
 
 
 @pytest.fixture(scope="module")
-def manifest_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("manifest")
-    write_fgrid(root / "a.fgrid", _grid())
-    write_fgrid(root / "b.fgrid", _grid()[::-1].copy())
-    write_pgm(root / "c.pgm", _grid())
-    (root / "bad.fgrid").write_bytes(b"FGRID 3 4\n" + bytes(7))
-    nan = _grid()
-    nan[1, 1] = np.nan
-    with open(root / "nan.fgrid", "wb") as fh:
-        fh.write(b"FGRID 3 4\n" + nan.astype("<f8").tobytes())
-    return root
+def dataset_dirs(tmp_path_factory):
+    """Record files for the manifests: 2 clean and 3 degraded records of 3x4, and variants
+    with a 4x3 degraded record, a NaN degraded record, or a clean file cut short."""
+    a, b = _grid(), _grid()[::-1].copy()
+    variants = {
+        "ok": ([a, b], [a, b, a]),
+        "shape": ([a, b], [a, b, a.T.copy()]),
+        "nan": ([a, b], [a, _NAN, a]),
+        "cut": ([a, b], [a, b, a]),
+    }
+    dirs = {}
+    for name, (cleans, degraded) in variants.items():
+        dirs[name] = tmp_path_factory.mktemp(name)
+        write_fgrids(dirs[name] / "clean.fgrid", cleans)
+        write_fgrids(dirs[name] / "degraded.fgrid", degraded)
+    cut = dirs["cut"] / "clean.fgrid"
+    cut.write_bytes(cut.read_bytes()[:-8])
+    return dirs
 
 
 @PROPERTY
-@given(blob=_manifests())
-def test_load_dataset_parses_or_raises_a_package_error(manifest_dir, blob):
-    path = manifest_dir / "manifest.txt"
+@given(name=st.sampled_from(["ok"] * 3 + ["shape", "nan", "cut"]), blob=_manifests())
+@example(name="ok", blob=GOOD_MANIFEST)
+@example(name="shape", blob=GOOD_MANIFEST)
+@example(name="nan", blob=GOOD_MANIFEST)
+@example(name="cut", blob=GOOD_MANIFEST)
+@example(name="ok", blob=GOOD_MANIFEST.replace(b"2,noise,7,0", b"2,noise,7,2"))
+@example(name="ok", blob=GOOD_MANIFEST.replace(b"1,blur,6,1", b"1,blur,6,2"))
+@example(name="ok", blob=GOOD_MANIFEST.replace(b"2,noise,7,0\n", b""))
+def test_load_dataset_parses_or_raises_a_package_error(dataset_dirs, name, blob):
+    path = dataset_dirs[name] / "manifest.txt"
     path.write_bytes(blob)
     ds = _expect_parse_or_package_error(lambda p: load_dataset(p, SplitConfig()), path)
     if ds is not None:
+        assert name == "ok" and len(ds.pairs) == 3
         assert sorted(ds.train_idx + ds.val_idx + ds.test_idx) == list(range(len(ds.pairs)))
         assert [row.index for row in ds.pairs] == list(range(len(ds.pairs)))
         for row in ds.pairs:
             assert isinstance(row.index, int) and isinstance(row.seed, int)
+            assert row.clean.shape == row.degraded.shape == (3, 4)
             assert np.all(np.isfinite(row.clean)) and np.all(np.isfinite(row.degraded))
 
 
