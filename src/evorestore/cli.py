@@ -75,17 +75,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the restoration model")
     common(p)
-    p.add_argument("--manifest", help="dataset manifest (overrides dataset.manifest)")
+    p.add_argument("--manifest", help="dataset manifest")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     common(p)
-    p.add_argument("--manifest", help="dataset manifest (overrides dataset.manifest)")
+    p.add_argument("--manifest", help="dataset manifest")
     p.add_argument("--checkpoint", required=True, help=".fmmp parameter file")
     p.add_argument("--split", default="val", choices=["train", "val", "test"])
 
     p = sub.add_parser("eos-trace", help="run one weight-search trigger and print it")
     common(p)
-    p.add_argument("--manifest", help="dataset manifest (overrides dataset.manifest)")
+    p.add_argument("--manifest", help="dataset manifest")
     p.add_argument("--checkpoint", required=True, help=".fmmp parameter file")
 
     p = sub.add_parser("oracle", help="run the independent verification suite")
@@ -101,11 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_manifest_dataset(app, manifest_arg):
-    manifest = manifest_arg or app.dataset.manifest
+def _load_manifest_dataset(app, manifest):
     if not manifest:
-        raise ConfigError("no dataset manifest: pass --manifest or set dataset.manifest")
-    return load_dataset(manifest, app.dataset.split())
+        raise ConfigError("no dataset manifest: pass --manifest")
+    return load_dataset(manifest, app.dataset)
 
 
 def _cmd_degrade(args) -> int:
@@ -127,7 +126,7 @@ def _cmd_degrade(args) -> int:
         images = synthetic_clean_images(
             args.synthetic, args.size, args.size, seed=args.image_seed
         )
-    dataset = build_dataset(images, app.degradations, app.dataset.split())
+    dataset = build_dataset(images, app.degradations, app.dataset)
     manifest = write_dataset(args.out, dataset)
     print(
         f"wrote {len(dataset.pairs)} pairs "
@@ -168,7 +167,7 @@ def _cmd_eval(args) -> int:
     app = load_config(args.config, args.overrides)
     dataset = _load_manifest_dataset(app, args.manifest)
     params = load_params(args.checkpoint)
-    table = evaluate(params, dataset, args.split, app.trainer.charbonnier_eps)
+    table = evaluate(params, dataset, args.split)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "metrics.csv"), MetricsRow, table)
     print(f"{'kind':<10} {'count':>5} {'psnr':>8} {'ssim':>7} {'fid':>9} {'perc':>9}")
@@ -188,9 +187,7 @@ def _cmd_eos_trace(args) -> int:
     if not val:
         raise ConfigError("dataset has no validation pairs")
     init = [WeightPair(app.trainer.init_alpha, app.trainer.init_beta)]
-    winner, trace = run_eos(
-        params, val, app.trainer.eos, init, trigger_index=1, eps=app.trainer.charbonnier_eps
-    )
+    winner, trace = run_eos(params, val, app.trainer.eos, init, trigger_index=1)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "eos_trace.csv"), CandidateRecord, trace.records)
     write_records(os.path.join(args.out, "eos_summary.csv"), TriggerSummary, [trace.summary()])

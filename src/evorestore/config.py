@@ -3,7 +3,7 @@
 Every key is registered below with its parser; unknown keys — from the file or
 from `--set` overrides — raise ConfigError. The same keys back both the config
 file and overrides. The `trainer.*`, `eos.*` and `dataset.*` keys are the
-fields of TrainConfig, EosConfig and DatasetConfig, each parsed by its
+fields of TrainConfig, EosConfig and SplitConfig, each parsed by its
 annotation; `degradation.specs` is the one key registered by hand, and each
 parameter of a spec is parsed by the annotation of its DegradationSpec field.
 """
@@ -19,28 +19,11 @@ from .errors import ConfigError
 from .trainer import TrainConfig
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
-    manifest: str = ""
-    val_fraction: float = 0.2
-    test_fraction: float = 0.0
-    split_seed: int = 0
-
-    def split(self) -> SplitConfig:
-        return SplitConfig(self.val_fraction, self.test_fraction, self.split_seed)
-
-
 @dataclass
 class AppConfig:
     trainer: TrainConfig = field(default_factory=TrainConfig)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    dataset: SplitConfig = field(default_factory=SplitConfig)
     degradations: tuple = ()
-
-
-def _parse_optional_int(v: str):
-    if v.strip().lower() in ("", "none"):
-        return None
-    return int(v)
 
 
 def _parse_freeze(v: str) -> tuple:
@@ -53,7 +36,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "int | None": _parse_optional_int,
     "tuple": _parse_freeze,
 }
 
@@ -97,7 +79,7 @@ def parse_degradation_specs(text: str) -> tuple:
 # key -> (section, field, parser); sections address the nested dataclasses
 _KEYS = {"degradation.specs": ("degradation", "specs", parse_degradation_specs)}
 
-for _section, _cls in (("trainer", TrainConfig), ("eos", EosConfig), ("dataset", DatasetConfig)):
+for _section, _cls in (("trainer", TrainConfig), ("eos", EosConfig), ("dataset", SplitConfig)):
     for _f in fields(_cls):
         if _f.name == "eos":  # TrainConfig's nested EosConfig: the eos.* keys
             continue
@@ -151,14 +133,13 @@ def load_config(path: str | None, overrides=()) -> AppConfig:
     eos_cfg = EosConfig(**sections["eos"])
     trainer_cfg = replace(TrainConfig(**sections["trainer"]), eos=eos_cfg)
     trainer_cfg.validate()
-    dataset_cfg = DatasetConfig(**sections["dataset"])
-    dataset_cfg.split().validate()
+    dataset_cfg = SplitConfig(**sections["dataset"])
+    dataset_cfg.validate()
     degradations = sections["degradation"].get("specs", ())
     return AppConfig(trainer=trainer_cfg, dataset=dataset_cfg, degradations=degradations)
 
 
 _HINTS = {
-    _parse_optional_int: "int or 'none'",
     _parse_freeze: "comma list of lowpass/spectral/spatial",
     parse_degradation_specs: "kind(name=value,...);...",
 }

@@ -308,7 +308,7 @@ def read_image(path) -> np.ndarray:
 class SplitConfig:
     val_fraction: float = 0.2
     test_fraction: float = 0.0
-    seed: int = 0
+    split_seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 <= self.val_fraction < 1.0:
@@ -319,8 +319,8 @@ class SplitConfig:
             )
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ConfigError("val_fraction + test_fraction must leave training data")
-        if self.seed < 0:
-            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
+        if self.split_seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.split_seed}")
 
 
 @dataclass
@@ -363,7 +363,7 @@ def _stratified_split(kinds: list, split: SplitConfig):
     by_kind: dict = {}
     for i, k in enumerate(kinds):
         by_kind.setdefault(k, []).append(i)
-    rng = np.random.default_rng(split.seed)
+    rng = np.random.default_rng(split.split_seed)
     train, val, test = [], [], []
     for k in sorted(by_kind):
         idx = np.array(by_kind[k])

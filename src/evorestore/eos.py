@@ -24,13 +24,7 @@ import numpy as np
 from .degrade import PSNR_CAP_DB, psnr
 from .errors import ConfigError, NumericIntegrityError
 from .fmm import FmmParams, fmm_forward, prepare
-from .losses import (
-    DEFAULT_CHARBONNIER_EPS,
-    WeightPair,
-    charbonnier_value,
-    ms_ssim_value,
-    ssim_and_ms_ssim,
-)
+from .losses import WeightPair, charbonnier_value, ms_ssim_value, ssim_and_ms_ssim
 from .util import stacks
 
 __all__ = [
@@ -206,7 +200,7 @@ def _restorations(params: FmmParams, pairs):
         yield y, target
 
 
-def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> ValidationTable:
+def validate(params: FmmParams, pairs) -> ValidationTable:
     """Restore (degraded, clean) pairs with a frozen model and score each restoration.
 
     MS-SSIM picks its scales from each stack's grid shape.
@@ -216,20 +210,20 @@ def validate(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS) -> 
         cols[0].append(psnr(y, target))
         ssim, ms = ssim_and_ms_ssim(y, target)
         cols[1].append(ssim)
-        cols[2].append(charbonnier_value(y, target, eps))
+        cols[2].append(charbonnier_value(y, target))
         cols[3].append(1.0 - ms)
     return ValidationTable(*(np.concatenate(c) for c in cols))
 
 
-def loss_means(params: FmmParams, pairs, eps: float = DEFAULT_CHARBONNIER_EPS):
-    """The search's two inputs alone: `validate(params, pairs, eps).loss_means()`, bit for bit.
+def loss_means(params: FmmParams, pairs):
+    """The search's two inputs alone: `validate(params, pairs).loss_means()`, bit for bit.
 
     Forms the Charbonnier and MS-SSIM values of each pair, and no PSNR,
     SSIM or gradient.
     """
     fid, perc = [], []
     for y, target in _restorations(params, pairs):
-        fid.append(charbonnier_value(y, target, eps))
+        fid.append(charbonnier_value(y, target))
         perc.append(1.0 - ms_ssim_value(y, target))
     return float(np.mean(np.concatenate(fid))), float(np.mean(np.concatenate(perc)))
 
@@ -243,18 +237,10 @@ def _fitness(candidate: WeightPair, mean_fid: float, mean_perc: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_eos(
-    params: FmmParams,
-    val_set,
-    cfg: EosConfig,
-    init=(),
-    *,
-    trigger_index: int = 0,
-    eps: float = DEFAULT_CHARBONNIER_EPS,
-):
+def run_eos(params: FmmParams, val_set, cfg: EosConfig, init=(), *, trigger_index: int = 0):
     """One search trigger on a read-only model: loss_means, then search_weights."""
     t0 = time.perf_counter()
-    means = loss_means(params, val_set, eps)
+    means = loss_means(params, val_set)
     eval_ms = (time.perf_counter() - t0) * 1e3
     return search_weights(*means, cfg, init, trigger_index=trigger_index, eval_ms=eval_ms)
 

@@ -159,13 +159,12 @@ def default_params(
     mask_mode: str = MASK_PER_FREQUENCY,
     spatial_mode: str = SPATIAL_PER_PIXEL,
     kernel_size: int = 5,
-    kernel_sigma: float = 1.0,
     n_bins: int = 8,
 ) -> FmmParams:
-    """Fresh parameters: Gaussian lowpass init, all logits zero (masks 0.5)."""
+    """Fresh parameters: unit-sigma Gaussian lowpass init, all logits zero (masks 0.5)."""
     grid = (height, width)
     p = FmmParams(
-        gaussian_kernel(kernel_size, kernel_sigma),
+        gaussian_kernel(kernel_size, 1.0),
         mask_mode,
         np.zeros(grid if mask_mode == MASK_PER_FREQUENCY else n_bins),
         spatial_mode,

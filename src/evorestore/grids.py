@@ -74,33 +74,6 @@ def check_kernel_fits(k: np.ndarray, h: int, w: int) -> None:
         )
 
 
-def wrap_pad(x: np.ndarray, c: int) -> np.ndarray:
-    """Periodic padding by c on each side of the last two axes.
-
-    ``shifted(xp, a, b, c)`` of the result equals ``np.roll(x, (a - c, b - c),
-    axis=(-2, -1))`` for 0 <= a, b <= 2c, without copying. Equal to
-    ``np.pad(x, ..., mode="wrap")`` for 0 <= c <= min(H, W), but filled by
-    slice copies into one new array: the edge rows first, then the edge
-    columns (corners included) from the padded array itself.
-    """
-    h, w = x.shape[-2:]
-    if not 0 <= c <= min(h, w):
-        raise DimensionError(f"wrap pad {c} must be in [0, {min(h, w)}] for grid {(h, w)}")
-    xp = np.empty(x.shape[:-2] + (h + 2 * c, w + 2 * c), dtype=x.dtype)
-    xp[..., c : c + h, c : c + w] = x
-    xp[..., :c, c : c + w] = x[..., h - c :, :]
-    xp[..., c + h :, c : c + w] = x[..., :c, :]
-    xp[..., :c] = xp[..., w : w + c]
-    xp[..., c + w :] = xp[..., c : 2 * c]
-    return xp
-
-
-def shifted(xp: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
-    """View of a `wrap_pad`-ded array rolled by (a - c, b - c) over its last two axes."""
-    h, w = xp.shape[-2] - 2 * c, xp.shape[-1] - 2 * c
-    return xp[..., 2 * c - a : 2 * c - a + h, 2 * c - b : 2 * c - b + w]
-
-
 def conv2_periodic(x, k) -> np.ndarray:
     """Circular 2D convolution with the kernel's center tap aligned to the origin.
 
@@ -112,13 +85,15 @@ def conv2_periodic(x, k) -> np.ndarray:
     """
     x = as_grids(x)
     k = as_kernel(k)
-    check_kernel_fits(k, *x.shape[-2:])
+    h, w = x.shape[-2:]
+    check_kernel_fits(k, h, w)
     c = k.shape[0] // 2
-    xp = wrap_pad(x, c)
+    # tap (a, b) reads x rolled by (a - c, b - c): a view into the padded copy
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(c, c), (c, c)], mode="wrap")
     out = np.zeros_like(x)
     for a in range(k.shape[0]):
         for b in range(k.shape[1]):
-            out += k[a, b] * shifted(xp, a, b, c)
+            out += k[a, b] * xp[..., 2 * c - a : 2 * c - a + h, 2 * c - b : 2 * c - b + w]
     return out
 
 

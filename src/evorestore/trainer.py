@@ -3,7 +3,6 @@
 Schedule semantics (all 1-based iteration indices):
 
 * batches are drawn by seeded epoch shuffles over the train split;
-* iterations strictly after `lr_halve_at` use learning_rate / 2;
 * after finishing iteration i with i % trigger_interval == 0 (and i before the
   final iteration), the model is frozen and the weight search runs; its winner
   is the active weight pair for iterations i+1 .. i+T. Trigger r uses EOS seed
@@ -39,7 +38,7 @@ from .degrade import PairedDataset
 from .errors import ConfigError, DivergenceError
 from .eos import EosConfig, loss_means, search_weights, validate
 from .fmm import BLOCKS, FmmParams, GradSums, apply_update, default_params, fmm_forward, prepare
-from .losses import DEFAULT_CHARBONNIER_EPS, WeightPair, charbonnier_eps_squared, combined_loss
+from .losses import WeightPair, combined_loss
 from .util import add_in_order, stacks
 
 DIVERGENCE_LIMIT = 1e6
@@ -49,13 +48,11 @@ DIVERGENCE_LIMIT = 1e6
 class TrainConfig:
     iterations: int = 500
     learning_rate: float = 2e-4
-    lr_halve_at: int | None = None
     batch_size: int = 4
     init_alpha: float = 0.8
     init_beta: float = 0.2
     eval_every: int = 50
     seed: int = 0
-    charbonnier_eps: float = DEFAULT_CHARBONNIER_EPS
     # model block
     mask_mode: str = "per_frequency"
     spatial_mode: str = "per_pixel"
@@ -70,8 +67,6 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.lr_halve_at is not None and self.lr_halve_at < 1:
-            raise ConfigError(f"lr_halve_at must be >= 1, got {self.lr_halve_at}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 0:
@@ -82,7 +77,6 @@ class TrainConfig:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        charbonnier_eps_squared(self.charbonnier_eps)
         a, b = self.init_alpha, self.init_beta
         if not (0 <= a < math.inf and 0 <= b < math.inf) or abs(a + b - 1.0) > 1e-9:
             raise ConfigError(f"init weights must be a convex pair, got ({a}, {b})")
@@ -91,8 +85,10 @@ class TrainConfig:
                 raise ConfigError(f"unknown freeze block {name!r}")
         if len(set(self.freeze)) != len(self.freeze):
             raise ConfigError(f"freeze names a block twice: {self.freeze}")
-        if set(self.freeze) == set(BLOCKS):
-            raise ConfigError("freeze names every block, so nothing would train")
+        # with both gates pinned at their initial 0.5 the output is x / 2 whatever
+        # the lowpass taps, so their gradient is 0 and no step moves them
+        if {"spectral", "spatial"} <= set(self.freeze):
+            raise ConfigError(f"freeze {self.freeze} pins both gates, so nothing would train")
         self.eos.validate()
 
 
@@ -183,27 +179,22 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
     trigger = 0
 
     for it in range(1, cfg.iterations + 1):
-        lr = cfg.learning_rate
-        if cfg.lr_halve_at is not None and it > cfg.lr_halve_at:
-            lr = cfg.learning_rate / 2.0
-
         batch = [train_rows[i] for i in next(batches)]
         prep = prepare(params, h, w, train=trained)
         sums = GradSums(params, prep)
         loss_sums = np.zeros(3)  # fidelity, perceptual, combined
         for x, clean in stacks([r.degraded for r in batch], [r.clean for r in batch]):
             acts = fmm_forward(x, params, prep)
-            lv, g_out = combined_loss(acts.y_hat, clean, active, cfg.charbonnier_eps)
+            lv, g_out = combined_loss(acts.y_hat, clean, active)
             sums.add(acts, g_out)
             add_in_order(loss_sums, np.column_stack([lv.fidelity, lv.perceptual, lv.combined]))
         nb = len(batch)
         fid_m, perc_m, comb_m = (float(v) / nb for v in loss_sums)
         if not math.isfinite(comb_m) or comb_m > DIVERGENCE_LIMIT:
             raise DivergenceError(it, comb_m)
-        params = apply_update(params, sums.finish(), lr / nb)
-
+        params = apply_update(params, sums.finish(), cfg.learning_rate / nb)
         trace.rows.append(
-            IterationRow(it, fid_m, perc_m, comb_m, active.alpha, active.beta, lr)
+            IterationRow(it, fid_m, perc_m, comb_m, active.alpha, active.beta, cfg.learning_rate)
         )
 
         do_eval = cfg.eval_every > 0 and it % cfg.eval_every == 0
@@ -213,10 +204,10 @@ def train(dataset: PairedDataset, cfg: TrainConfig):
             # a search alone reads only the two loss means
             t0 = time.perf_counter()
             if do_eval:
-                table = validate(params, val_set, cfg.charbonnier_eps)
+                table = validate(params, val_set)
                 means = table.loss_means()
             else:
-                means = loss_means(params, val_set, cfg.charbonnier_eps)
+                means = loss_means(params, val_set)
             eval_ms = (time.perf_counter() - t0) * 1e3
             for name, mean in zip(("fidelity", "perceptual"), means):
                 if not math.isfinite(mean):
@@ -257,17 +248,12 @@ class MetricsRow:
     perc_mean: float
 
 
-def evaluate(
-    params: FmmParams,
-    dataset: PairedDataset,
-    split: str = "val",
-    eps: float = DEFAULT_CHARBONNIER_EPS,
-) -> list:
+def evaluate(params: FmmParams, dataset: PairedDataset, split: str = "val") -> list:
     """Per-kind and aggregate restoration metrics on one split."""
     rows = dataset.rows(split)
     if not rows:
         raise ConfigError(f"split {split!r} is empty")
-    t = validate(params, [(r.degraded, r.clean) for r in rows], eps)
+    t = validate(params, [(r.degraded, r.clean) for r in rows])
     kinds = np.array([r.kind for r in rows])
     table = [MetricsRow(split, k, *t.summary(kinds == k)) for k in sorted(set(kinds.tolist()))]
     table.append(MetricsRow(split, "all", *t.summary(slice(None))))

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ def test_dataset_per_pair_seeds_differ():
 def test_dataset_write_load_round_trip(tmp_path):
     ds = make_dataset()
     manifest = write_dataset(tmp_path, ds)
-    header = open(manifest).readline().strip()
+    header = Path(manifest).read_text().splitlines()[0].strip()
     assert header == MANIFEST_HEADER
     back = load_dataset(manifest, SplitConfig(0.2, 0.0, 9))
     assert len(back.pairs) == len(ds.pairs)
@@ -218,7 +219,7 @@ def test_dataset_with_a_numpy_seed_round_trips(tmp_path):
     spec = DegradationSpec("noise", sigma=0.1, seed=np.int64(5))
     ds = build_dataset(images, [spec], SplitConfig(0.34, 0.0, 0))
     manifest = write_dataset(tmp_path, ds)
-    lines = open(manifest).read().splitlines()
+    lines = Path(manifest).read_text().splitlines()
     assert lines[0] == MANIFEST_HEADER
     assert [ln.split(",")[2] for ln in lines[1:]] == ["5", "6", "7"]
     back = load_dataset(manifest, SplitConfig(0.34, 0.0, 0))
@@ -233,7 +234,7 @@ def test_write_dataset_stores_one_clean_record_per_source_image(tmp_path):
     assert [c.tobytes() for c in cleans] == [r.clean.tobytes() for r in ds.pairs[:10]]
     degraded = read_fgrids(tmp_path / "degraded.fgrid")
     assert [d.tobytes() for d in degraded] == [r.degraded.tobytes() for r in ds.pairs]
-    rows = [ln.split(",") for ln in open(manifest).read().splitlines()[1:]]
+    rows = [ln.split(",") for ln in Path(manifest).read_text().splitlines()[1:]]
     for i in range(10):
         assert rows[i][3] == rows[i + 10][3] == str(i)
 

@@ -10,7 +10,6 @@ from evorestore.grids import (
     identity_kernel,
     read_fgrid,
     transfer,
-    wrap_pad,
     write_fgrid,
 )
 from evorestore.oracles import brute_conv2
@@ -52,17 +51,6 @@ def test_conv_matches_brute_force_bit_for_bit():
         got = conv2_periodic(xs, k)
         for g, xi in zip(got, xs):
             assert np.array_equal(g, brute_conv2(xi, k))
-
-
-@pytest.mark.parametrize("shape", [(5, 7), (45, 50), (3, 5, 7), (2, 45, 50)])
-def test_wrap_pad_matches_np_pad(shape):
-    x = np.random.default_rng(12).normal(size=shape)
-    for c in range(4):
-        want = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(c, c), (c, c)], mode="wrap")
-        got = wrap_pad(x, c)
-        assert got.shape == want.shape and np.array_equal(got, want)
-    with pytest.raises(DimensionError):
-        wrap_pad(x, min(shape[-2:]) + 1)
 
 
 def test_conv_identity_kernel_is_identity():

@@ -129,7 +129,8 @@ def test_frozen_blocks_skip_their_terms_and_train_the_same_bytes(
 
     monkeypatch.setattr(trainer, "GradSums", RecordingSums)
     ds = small_dataset()
-    for freeze in (("lowpass",), ("spectral", "spatial"), ("lowpass", "spatial")):
+    # each block frozen at least once; pinning both gates is a config error
+    for freeze in (("lowpass",), ("lowpass", "spectral"), ("lowpass", "spatial")):
         cfg = small_config(iterations=4, eval_every=2, mask_mode=mask_mode,
                            spatial_mode=spatial_mode, freeze=freeze,
                            eos=EosConfig(4, 2, 1, 0.3, 3, 0))
@@ -174,16 +175,6 @@ def test_non_finite_validation_mean_diverges(
     with pytest.raises(DivergenceError, match=message) as exc:
         train(small_dataset(), small_config(eval_every=eval_every, eos=eos_cfg))
     assert exc.value.iteration == iteration
-
-
-def test_lr_halving_schedule():
-    ds = small_dataset()
-    cfg = small_config(iterations=20, lr_halve_at=10)
-    _, trace = train(ds, cfg)
-    lrs = {r.iteration: r.lr for r in trace.rows}
-    assert lrs[10] == 0.05
-    assert lrs[11] == 0.025
-    assert lrs[20] == 0.025
 
 
 def test_config_validation():
